@@ -53,6 +53,7 @@ from .risk import (
 )
 from .solver import (
     HorizonBound,
+    MonotonicityError,
     Policy,
     SolveReport,
     assemble_epsilon_policy,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -60,6 +61,7 @@ from .risk import (
     mean_deviation_primal,
 )
 from .solver import (
+    MonotonicityError,
     Policy,
     assemble_epsilon_policy,
     backward_induct,
@@ -149,13 +151,17 @@ def _parse_risk(doc) -> RiskSpec:
             return Expectation()
         if kind == "avar":
             _reject_extra(doc, {"kind", "alpha"}, "config.risk")
-            return AVaR(float(doc["alpha"]))
+            return AVaR(_field(doc, "alpha", float, where="config.risk"))
         if kind == "mean_deviation":
             _reject_extra(doc, {"kind", "kappa"}, "config.risk")
-            return MeanDeviation(float(doc["kappa"]))
+            return MeanDeviation(_field(doc, "kappa", float, where="config.risk"))
         if kind == "kusuoka":
             _reject_extra(doc, {"kind", "components"}, "config.risk")
-            components = tuple((float(a), float(w)) for a, w in doc["components"])
+            where = "config.risk.components"
+            components = tuple(
+                (_finite(float(a), f"{where}[{k}]"), _finite(float(w), f"{where}[{k}]"))
+                for k, (a, w) in enumerate(doc["components"])
+            )
             return KusuokaMixture(components)
     except ConfigError:
         raise
@@ -172,15 +178,24 @@ def _reject_extra(doc: dict, allowed: set, where: str):
         raise ConfigError(f"{where}: unknown field(s) {sorted(extra)}")
 
 
+def _finite(value, where: str):
+    """``value`` itself, or a ConfigError naming ``where`` for a NaN or an
+    infinite float (which Python's JSON parser accepts)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return value
+
+
 def _field(doc: dict, key: str, caster, default=None, where: str = "config"):
     if key not in doc:
         if default is None:
             raise ConfigError(f"{where}.{key}: required field is missing")
         return default
     try:
-        return caster(doc[key])
-    except (TypeError, ValueError) as exc:
+        value = caster(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.{key}: {exc}") from exc
+    return _finite(value, f"{where}.{key}")
 
 
 MODEL_FIELDS = {
@@ -327,7 +342,7 @@ def build_model(config: RunConfig) -> MarkovModel:
         return build_tabular(kernel, costs, config.discount)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config.model.{config.model_kind}: {exc}") from exc
 
 
@@ -837,6 +852,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MonotonicityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

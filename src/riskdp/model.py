@@ -161,6 +161,13 @@ class MarkovModel:
     (grid point, admissible action) pair at construction time, and the
     resulting table is cached.  Instances are treated as immutable after
     construction.
+
+    Relying on that rule, each (state, action) pair's successor support is
+    also cached, lazily, the first time ``successor_distribution`` asks for
+    it: the clamped successor states with the noise probabilities for
+    dynamics, the grid indices of the kernel row's support with their
+    probabilities for a tabular kernel.  The transition map then runs once
+    per pair per model rather than once per pair per sweep.
     """
 
     grid: StateGrid
@@ -168,13 +175,10 @@ class MarkovModel:
     transition: TransitionMechanism
     cost: Callable[[float, float], float]
     discount: float
-    boundary: str = "clamp"
 
     def __post_init__(self):
         if not (0.0 < self.discount < 1.0):
             raise ValueError(f"discount must lie in (0, 1), got {self.discount!r}")
-        if self.boundary != "clamp":
-            raise ValueError(f"unsupported boundary policy {self.boundary!r}")
         n, m = len(self.grid), len(self.actions)
         if self.actions.admissible is not None and len(self.actions.admissible) != n:
             raise ValueError("admissibility table length must match the grid")
@@ -197,6 +201,7 @@ class MarkovModel:
                     )
                 table[i, a_idx] = c
         self._cost_table = table
+        self._successors = {}
 
     @property
     def cost_table(self) -> np.ndarray:
@@ -219,6 +224,27 @@ class MarkovModel:
     def clamp(self, x: float) -> float:
         """Clamp a successor state into the grid range."""
         return float(min(max(x, self.grid.lo), self.grid.hi))
+
+    def _successor_support(self, state_index, action_index):
+        """Cached (support, probabilities) of one pair's successors: grid
+        indices for a tabular kernel, clamped successor states for
+        dynamics."""
+        key = (state_index, action_index)
+        support = self._successors.get(key)
+        if support is None:
+            if isinstance(self.transition, Tabular):
+                row = self.transition.kernel[state_index, action_index]
+                mask = row > 0.0
+                support = (np.flatnonzero(mask), row[mask])
+            else:
+                x = float(self.grid.points[state_index])
+                a = float(self.actions.values[action_index])
+                noise = self.transition.noise.dist
+                next_state = self.transition.next_state
+                succ = np.array([self.clamp(next_state(x, a, float(xi))) for xi in noise.values])
+                support = (succ, noise.probs)
+            self._successors[key] = support
+        return support
 
 
 def quantize_standard_normal(k: int) -> NoiseModel:
@@ -252,11 +278,12 @@ def interpolate(grid, values, x):
     if values.shape != points.shape:
         raise ValueError("values must align with the grid")
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), points[0], points[-1])
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.minimum(np.maximum(xs, points[0]), points[-1])
     # side="right" puts queries that hit a grid point exactly at frac == 0,
     # so on-grid lookups return the stored value with no rounding
-    hi = np.searchsorted(points, xs, side="right")
-    hi = np.clip(hi, 1, len(points) - 1)
+    hi = points.searchsorted(xs, side="right")
+    hi = np.minimum(np.maximum(hi, 1), len(points) - 1)
     lo = hi - 1
     frac = (xs - points[lo]) / (points[hi] - points[lo])
     out = values[lo] + frac * (values[hi] - values[lo])
@@ -284,27 +311,33 @@ def successor_distribution(
     v_next = np.asarray(v_next, dtype=float)
     if v_next.shape != (n,):
         raise ValueError("v_next must align with the grid")
-    if not np.all(np.isfinite(v_next)):
+    if not np.isfinite(v_next).all():
         raise ValueError("v_next must be finite")
 
+    support, probs = model._successor_support(state_index, action_index)
     if isinstance(model.transition, Tabular):
-        row = model.transition.kernel[state_index, action_index]
-        mask = row > 0.0
-        values = v_next[mask]
-        probs = row[mask]
+        values = v_next[support]
     else:
-        x = float(model.grid.points[state_index])
-        a = float(model.actions.values[action_index])
-        noise = model.transition.noise.dist
-        succ = np.array(
-            [model.clamp(model.transition.next_state(x, a, float(xi))) for xi in noise.values]
-        )
-        values = interpolate(model.grid, v_next, succ)
-        probs = noise.probs
+        values = interpolate(model.grid, v_next, support)
+    return DiscreteDistribution(*_merge_atoms(values, probs))
 
-    merged_values, inverse = np.unique(values, return_inverse=True)
-    merged_probs = np.bincount(inverse, weights=probs)
-    return DiscreteDistribution(merged_values, merged_probs)
+
+def _merge_atoms(values: np.ndarray, probs: np.ndarray):
+    """Sorted distinct atom values with the summed probability of each.
+
+    Equal to ``np.unique(values, return_inverse=True)`` followed by
+    ``np.bincount(inverse, weights=probs)``, bit for bit: distinct atoms
+    come back in sorted order untouched, and merged ones are summed by the
+    same ``bincount`` in input order.
+    """
+    order = values.argsort(kind="stable")
+    values = values[order]
+    distinct = values[1:] != values[:-1]
+    if distinct.all():
+        return values, probs[order]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.concatenate(([0], distinct.cumsum()))
+    return values[np.concatenate(([True], distinct))], np.bincount(inverse, weights=probs)
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,9 @@ class DiscreteDistribution:
             raise ValueError("values and probs must be 1-d arrays of equal length")
         if len(values) == 0:
             raise ValueError("distribution needs at least one atom")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("atom values must be finite")
-        if not np.all(probs > 0.0):
+        if not (probs > 0.0).all():
             raise ValueError("atom probabilities must be strictly positive")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL:
@@ -182,10 +182,10 @@ def _check_mixture(components: Sequence[Tuple[float, float]]):
     for a, w in components:
         if not (0.0 <= a < 1.0):
             raise ValueError(f"mixture level must lie in [0, 1), got {a!r}")
-        if w < 0.0:
+        if not w >= 0.0:
             raise ValueError(f"mixture weight must be nonnegative, got {w!r}")
         total += w
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"mixture weights sum to {total!r}, not 1")
 
 
@@ -215,7 +215,7 @@ def _tail_take(alpha: float, sorted_probs: np.ndarray) -> np.ndarray:
     worst ``1 - alpha`` tail is collected greedily."""
     t = 1.0 - alpha
     cum = np.cumsum(sorted_probs)
-    return np.clip(t - (cum - sorted_probs), 0.0, sorted_probs)
+    return np.minimum(np.maximum(t - (cum - sorted_probs), 0.0), sorted_probs)
 
 
 def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
@@ -230,7 +230,7 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
     _check_level(alpha)
     if alpha == 0.0:
         return float(dist.values @ dist.probs)
-    order = np.argsort(-dist.values, kind="stable")
+    order = (-dist.values).argsort(kind="stable")
     take = _tail_take(alpha, dist.probs[order])
     return float(dist.values[order] @ take) / (1.0 - alpha)
 

@@ -22,6 +22,7 @@ from .model import MarkovModel, successor_distribution
 from .risk import RiskSpec, evaluate
 
 __all__ = [
+    "MonotonicityError",
     "Policy",
     "SolveReport",
     "HorizonBound",
@@ -36,6 +37,11 @@ __all__ = [
 
 #: slack allowed when asserting pointwise monotonicity of value iterates
 MONOTONE_TOL = 1e-12
+
+
+class MonotonicityError(RuntimeError):
+    """Value iterates decreased pointwise: the model breaks the contract
+    under which iteration from zero is monotone."""
 
 
 @dataclass(frozen=True)
@@ -221,7 +227,7 @@ def value_iterate(
         v_new, rule = bellman_update(model, risk, v)
         diff = v_new - v
         if float(diff.min()) < -MONOTONE_TOL:
-            raise RuntimeError(
+            raise MonotonicityError(
                 "value iterates decreased pointwise; "
                 "the model violates the monotone-iteration contract"
             )

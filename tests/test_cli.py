@@ -15,7 +15,7 @@ from riskdp.cli import (
 )
 from riskdp.model import build_tabular
 from riskdp.risk import AVaR, Expectation, KusuokaMixture, MeanDeviation
-from riskdp.solver import Policy
+from riskdp.solver import MonotonicityError, Policy
 
 
 LQ_MODEL = {
@@ -162,6 +162,40 @@ def test_parse_model_rejects_bad_specs():
         parse_config({**base, "model": {"lq": extra}})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "overrides,fragment",
+    [
+        ({"model": {"lq": dict(LQ_MODEL["lq"], sigma=NAN)}}, "config.model.lq.sigma"),
+        ({"model": {"lq": dict(LQ_MODEL["lq"], x_hi=INF)}}, "config.model.lq.x_hi"),
+        ({"model": {"lq": dict(LQ_MODEL["lq"], x_lo=-INF)}}, "config.model.lq.x_lo"),
+        ({"model": {"lq": dict(LQ_MODEL["lq"], grid_points=INF)}}, "config.model.lq.grid_points"),
+        ({"risk": {"kind": "avar", "alpha": NAN}}, "config.risk.alpha"),
+        ({"risk": {"kind": "mean_deviation", "kappa": NAN}}, "config.risk.kappa"),
+        ({"risk": {"kind": "kusuoka", "components": [[0.1, NAN]]}}, "config.risk.components[0]"),
+        ({"discount": NAN}, "config.discount"),
+        ({"tolerance": INF}, "config.tolerance"),
+        ({"horizon": INF}, "config.horizon"),
+    ],
+)
+def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, overrides, fragment):
+    config = write_config(tmp_path, **overrides)
+    assert main(["solve", "-c", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_tabular_file_with_infinite_size_exits_2(tmp_path, capsys):
+    config = write_tabular_config(tmp_path)
+    model_path = tmp_path / "tab.json"
+    model_path.write_text(model_path.read_text().replace('"states": 2', '"states": Infinity'))
+    assert main(["solve", "-c", config]) == 2
+    assert capsys.readouterr().err.startswith("error: config.model.tabular: ")
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -240,6 +274,25 @@ def test_solve_exit_codes(tmp_path, capsys):
     slow = write_config(tmp_path, name="slow.json", max_sweeps=1, tolerance=1e-12)
     assert main(["solve", "-c", slow]) == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["sweep", "--param", "alpha", "--values", "0.1,0.2"]],
+)
+def test_monotonicity_failure_exits_1(tmp_path, capsys, monkeypatch, argv):
+    import riskdp.cli as cli
+
+    def decreasing(*args, **kwargs):
+        raise MonotonicityError(
+            "value iterates decreased pointwise; "
+            "the model violates the monotone-iteration contract"
+        )
+
+    monkeypatch.setattr(cli, "value_iterate", decreasing)
+    config = write_config(tmp_path)
+    assert main([argv[0], "-c", config, *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: value iterates decreased pointwise")
 
 
 def test_solve_epsilon_zero_rejected(tmp_path, capsys):

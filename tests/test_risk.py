@@ -95,6 +95,8 @@ def test_spec_validation():
         KusuokaMixture(((0.5, 0.5), (0.2, 0.6)))
     with pytest.raises(ValueError):
         KusuokaMixture(((1.0, 1.0),))
+    with pytest.raises(ValueError):
+        KusuokaMixture(((0.5, float("nan")),))
     # boundary levels are legal
     AVaR(0.0)
     MeanDeviation(0.5)

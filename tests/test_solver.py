@@ -7,6 +7,7 @@ from riskdp.fixtures import random_stage_policy, random_tabular_model
 from riskdp.model import build_tabular
 from riskdp.risk import AVaR, Expectation, MeanDeviation
 from riskdp.solver import (
+    MonotonicityError,
     Policy,
     assemble_epsilon_policy,
     backward_induct,
@@ -159,6 +160,22 @@ def test_value_iterate_rejects_bad_arguments(two_state_model):
         value_iterate(two_state_model, Expectation(), tol=0.0, max_sweeps=10)
     with pytest.raises(ValueError):
         value_iterate(two_state_model, Expectation(), tol=1e-6, max_sweeps=0)
+
+
+def test_value_iterate_raises_when_iterates_decrease(two_state_model, monkeypatch):
+    import riskdp.solver as solver
+
+    sweeps = []
+
+    def shrinking_update(model, risk, v_next):
+        sweeps.append(v_next)
+        return np.full(model.n_states, 1.0 / len(sweeps)), np.zeros(model.n_states, dtype=int)
+
+    monkeypatch.setattr(solver, "bellman_update", shrinking_update)
+    with pytest.raises(MonotonicityError, match="decreased pointwise"):
+        value_iterate(two_state_model, Expectation(), tol=1e-10, max_sweeps=10)
+    assert len(sweeps) == 2
+    assert issubclass(MonotonicityError, RuntimeError)
 
 
 def test_value_iterate_lq_even_symmetry(lq_fixture):
