@@ -629,8 +629,28 @@ def _suite_dp_vs_exhaustive(rng, depth: int) -> SuiteResult:
     for _ in range(10):
         model = random_tabular_model(rng)
         for risk in risks:
+            instance = {
+                "risk": _risk_to_json(risk),
+                "kernel": model.transition.kernel.tolist(),
+                "costs": model.cost_table.tolist(),
+                "depth": depth,
+            }
+            # the search first, so an oversized depth fails its budget at
+            # once instead of after a backward induction over every stage
+            try:
+                best, _ = exhaustive_policy_search(model, risk, depth)
+            except BudgetExceededError:
+                raise
+            except RuntimeError as exc:
+                # the search's own scenario-tree spot-check disagreed
+                return SuiteResult(
+                    "dp vs exhaustive search",
+                    checks + 1,
+                    float("inf"),
+                    False,
+                    {**instance, "error": str(exc)},
+                )
             dp_values, _ = backward_induct(model, risk, depth)
-            best, _ = exhaustive_policy_search(model, risk, depth)
             err = float(np.max(np.abs(dp_values[0] - best)))
             checks += 1
             if err > worst:
@@ -641,14 +661,7 @@ def _suite_dp_vs_exhaustive(rng, depth: int) -> SuiteResult:
                     checks,
                     err,
                     False,
-                    {
-                        "risk": _risk_to_json(risk),
-                        "kernel": model.transition.kernel.tolist(),
-                        "costs": model.cost_table.tolist(),
-                        "depth": depth,
-                        "dp": dp_values[0].tolist(),
-                        "exhaustive": best.tolist(),
-                    },
+                    {**instance, "dp": dp_values[0].tolist(), "exhaustive": best.tolist()},
                 )
     return SuiteResult("dp vs exhaustive search", checks, worst, True)
 

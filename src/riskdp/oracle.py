@@ -7,18 +7,32 @@ linear-programming oracle enumerates dual vertices instead of running the
 greedy construction, and the risk-neutral dynamic program recomputes
 expectations with its own interpolation.  Budgets are enforced loudly with
 ``BudgetExceededError``.
+
+The exhaustive search still enumerates every sequence but evaluates each
+(state, action) column once per stage, then copies it to every rule's block.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .model import MarkovModel, Tabular
-from .risk import AVaR, DiscreteDistribution, Expectation, KusuokaMixture, MeanDeviation, RiskSpec, evaluate
+from .risk import (
+    AVaR,
+    DiscreteDistribution,
+    Expectation,
+    KusuokaMixture,
+    MeanDeviation,
+    RiskSpec,
+    _check_level,
+    evaluate,
+)
 from .solver import Policy
 
 __all__ = [
@@ -242,15 +256,23 @@ def exhaustive_policy_search(
     computes exactly the per-policy nested value; the winning value per
     initial state is optionally re-derived through ``scenario_tree_value``
     as a cross-check.  Returns the pointwise-minimal values and, per initial
-    state, the minimizing sequence of stage rules.
+    state, the minimizing sequence of stage rules.  The sequence budget is
+    checked before any rule is built, so an oversized model raises
+    ``BudgetExceededError`` at once.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth!r}")
     n = model.n_states
-    rules = list(itertools.product(*[model.actions.indices_for(i) for i in range(n)]))
-    n_rules = len(rules)
-    total = n_rules ** (depth + 1)
-    if total > MAX_POLICY_SEQUENCES:
+    # rule r is the mixed-radix number whose digit i (state 0 most
+    # significant, as in itertools.product) picks from choices[i]
+    choices = [model.actions.indices_for(i) for i in range(n)]
+    sizes = [len(c) for c in choices]
+    n_rules = math.prod(sizes)
+    # the sequence count is formed exactly only while it is short enough to
+    # print; beyond a hundred digits it is far over any budget anyway
+    log_total = (depth + 1) * math.log10(n_rules)
+    if log_total > 100 or n_rules ** (depth + 1) > MAX_POLICY_SEQUENCES:
+        total = f"about 10**{log_total:.0f}" if log_total > 100 else n_rules ** (depth + 1)
         raise BudgetExceededError(
             f"{total} stage-policy sequences exceed the "
             f"{MAX_POLICY_SEQUENCES} budget"
@@ -259,23 +281,36 @@ def exhaustive_policy_search(
     beta = model.discount
 
     # tails[t] is the value vector of one policy-tail; peeling stages from
-    # the last to the first multiplies the tail count by n_rules each time
+    # the last to the first multiplies the tail count by n_rules each time.
+    # Column i of a rule's block depends on the rule only through its
+    # action at state i, so each (state, action) column is computed once
+    # per stage and copied into the blocks of every rule choosing it.
     tails = np.zeros((1, n))
     for stage in range(depth, -1, -1):
         t_count = tails.shape[0]
         grown = np.empty((n_rules * t_count, n))
-        for r, rule in enumerate(rules):
-            block = grown[r * t_count : (r + 1) * t_count]
-            for i in range(n):
-                probs, idx, wts = structure[(i, rule[i])]
+        for i in range(n):
+            before, after = math.prod(sizes[:i]), math.prod(sizes[i + 1 :])
+            # grown viewed as (digits before i, digit i, digits after i,
+            # tail, state); the copies below fill grown in place
+            blocks = grown.reshape(before, sizes[i], after, t_count, n)
+            for d, a_idx in enumerate(choices[i]):
+                probs, idx, wts = structure[(i, a_idx)]
                 outcomes = tails[:, idx[:, 0]] * wts[:, 0] + tails[:, idx[:, 1]] * wts[:, 1]
-                block[:, i] = model.cost_at(i, rule[i]) + beta * _batch_risk(
+                blocks[:, d, :, :, i] = model.cost_at(i, a_idx) + beta * _batch_risk(
                     risk, probs, outcomes
                 )
         tails = grown
 
-    best_values = tails.min(axis=0)
     best_rows = tails.argmin(axis=0)
+    best_values = tails[best_rows, np.arange(n)]
+
+    def rule_of(r: int) -> Tuple[int, ...]:
+        rule = [0] * n
+        for i in range(n - 1, -1, -1):
+            r, digit = divmod(r, sizes[i])
+            rule[i] = choices[i][digit]
+        return tuple(rule)
 
     def decode(row: int) -> Tuple[Tuple[int, ...], ...]:
         digits = []
@@ -284,7 +319,7 @@ def exhaustive_policy_search(
             digits.append(digit)
         # rows were built most-significant stage first
         digits.reverse()
-        return tuple(rules[d] for d in digits)
+        return tuple(rule_of(d) for d in digits)
 
     best_policies = [decode(int(row)) for row in best_rows]
 
@@ -304,6 +339,15 @@ def exhaustive_policy_search(
 # dual vertex enumeration
 
 
+@functools.lru_cache(maxsize=None)
+def _vertex_masks(k: int) -> np.ndarray:
+    """Read-only ``2**k x k`` matrix whose rows are the 0/1 saturation
+    patterns of ``k`` atoms."""
+    masks = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+    masks.setflags(write=False)
+    return masks
+
+
 def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 1.0) -> float:
     """Tail-average risk by enumerating the vertices of its dual polytope.
 
@@ -313,8 +357,7 @@ def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 
     ``cap_scale`` deliberately mis-scales the density bound and exists only
     as a fault-injection hook for the verification harness.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
+    _check_level(alpha)
     k = len(dist)
     if k > MAX_LP_ATOMS:
         raise BudgetExceededError(
@@ -324,7 +367,7 @@ def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 
     probs = dist.probs
     values = dist.values
     weighted = probs * values
-    masks = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+    masks = _vertex_masks(k)
     mass = cap * (masks @ probs)
     base = cap * (masks @ weighted)
     remainder = 1.0 - mass

@@ -140,8 +140,7 @@ class AVaR(RiskSpec):
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
+        _check_level(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,7 @@ class MeanDeviation(RiskSpec):
     kappa: float
 
     def __post_init__(self):
-        if not (0.0 <= self.kappa <= 0.5):
-            raise ValueError(f"kappa must lie in [0, 1/2], got {self.kappa!r}")
+        _check_kappa(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -192,6 +190,11 @@ def _check_mixture(components: Sequence[Tuple[float, float]]):
 def _check_level(alpha: float):
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
+
+
+def _check_kappa(kappa: float):
+    if not (0.0 <= kappa <= 0.5):
+        raise ValueError(f"kappa must lie in [0, 1/2], got {kappa!r}")
 
 
 def value_at_risk(p: float, dist: DiscreteDistribution) -> float:
@@ -264,8 +267,7 @@ def mean_deviation_primal(kappa: float, dist: DiscreteDistribution) -> float:
     ``kappa`` must lie in [0, 1/2], the range on which the functional is
     monotone.
     """
-    if not (0.0 <= kappa <= 0.5):
-        raise ValueError(f"kappa must lie in [0, 1/2], got {kappa!r}")
+    _check_kappa(kappa)
     mean = float(dist.values @ dist.probs)
     dev = float(np.abs(dist.values - mean) @ dist.probs)
     return mean + kappa * dev
@@ -279,8 +281,7 @@ def mean_deviation_dual(kappa: float, dist: DiscreteDistribution) -> Tuple[float
     equal to the mean).  Returns the value and the density, aligned with
     the atoms of ``dist``.
     """
-    if not (0.0 <= kappa <= 0.5):
-        raise ValueError(f"kappa must lie in [0, 1/2], got {kappa!r}")
+    _check_kappa(kappa)
     mean = float(dist.values @ dist.probs)
     h = kappa * np.sign(dist.values - mean)
     weights = 1.0 + h - float(h @ dist.probs)

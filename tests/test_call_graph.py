@@ -3,8 +3,9 @@
 The benchmark (``bench/run.py``) wraps every public function with the span
 tracer of ``bench/spans.py`` and requires the call counts of one
 ``solve`` + ``evaluate`` operation to satisfy the identities of its
-``count_problems``.  This test runs the same tracer on a small LQ config,
-so a change to the call graph fails here in about a second.
+``count_problems``.  These tests run the same tracer on a small LQ
+``solve`` + ``evaluate`` and on ``verify`` at horizon 1, so a change to the
+call graph fails here in about a second.
 """
 
 import importlib.util
@@ -31,8 +32,7 @@ def load_tracer():
     return module.Tracer
 
 
-def test_traced_counts_follow_the_benchmark_identities(tmp_path):
-    horizon = 4
+def write_lq_config(tmp_path, horizon):
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -50,6 +50,12 @@ def test_traced_counts_follow_the_benchmark_identities(tmp_path):
             }
         )
     )
+    return config
+
+
+def test_traced_counts_follow_the_benchmark_identities(tmp_path):
+    horizon = 4
+    config = write_lq_config(tmp_path, horizon)
     out = tmp_path / "out"
     tracer = load_tracer()()
     tracer.install()
@@ -72,3 +78,33 @@ def test_traced_counts_follow_the_benchmark_identities(tmp_path):
     assert layer["model.successor_calls"] == pairs
     assert layer["model.interpolate_calls"] == layer["model.successor_calls"]
     assert layer["risk.avar_primal_calls"] == layer["risk.evaluate_calls"] == pairs
+
+
+def test_traced_verify_keeps_every_oracle_call(tmp_path, capsys):
+    config = write_lq_config(tmp_path, horizon=1)
+    tracer = load_tracer()()
+    tracer.install()
+    try:
+        assert riskdp.cli.main(["verify", "-c", str(config)]) == 0
+    finally:
+        tracer.uninstall()
+    layer = tracer.layer_metrics(0)
+
+    suites = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, rest = line.split("  checks=")
+        suites[name.strip()] = int(rest.split()[0])
+    assert layer["oracle.lp_calls"] == suites["tail-average agreement"]
+
+    names = [span[2] for span in tracer.spans]
+    searches = names.count("oracle.exhaustive_policy_search")
+    spot_checks = sum(
+        1
+        for _, parent, name, _, _ in tracer.spans
+        if name == "oracle.scenario_tree_value"
+        and parent >= 0
+        and names[parent] == "oracle.exhaustive_policy_search"
+    )
+    # one scenario-tree spot-check per state of each 4-state search model
+    assert searches == suites["dp vs exhaustive search"] > 0
+    assert spot_checks == 4 * searches

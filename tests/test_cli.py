@@ -481,6 +481,39 @@ def test_verify_rejects_budget_breaking_depth(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_huge_depth_before_solving_it(tmp_path, capsys):
+    # 16**1000001 sequences: too many digits to print, and a backward
+    # induction over a million stages would run for minutes first
+    config = write_config(tmp_path, horizon=10 ** 6)
+    assert main(["verify", "-c", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.horizon: about 10**1204121 stage-policy sequences")
+    assert "budget" in err
+
+
+def test_verify_reports_a_failed_spot_check_as_a_failed_suite(tmp_path, capsys, monkeypatch):
+    import riskdp.cli as cli
+
+    def disagreeing(*args, **kwargs):
+        raise RuntimeError(
+            "batched enumeration disagrees with the scenario tree at state 0: 1.0 vs 2.0"
+        )
+
+    monkeypatch.setattr(cli, "exhaustive_policy_search", disagreeing)
+    config = write_config(tmp_path, horizon=1)
+    assert main(["verify", "-c", config]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "suite(s) failed" in captured.err
+    (line,) = [l for l in captured.out.splitlines() if l.startswith("dp vs exhaustive")]
+    assert "checks=1 " in line and "max_error=inf" in line and line.endswith("FAIL")
+    blob = json.loads((tmp_path / "out" / "counterexample.json").read_text())
+    assert blob["suite"] == "dp vs exhaustive search"
+    assert "disagrees with the scenario tree" in blob["instance"]["error"]
+    assert blob["instance"]["depth"] == 1
+    assert {"risk", "kernel", "costs"} <= set(blob["instance"])
+
+
 def test_verify_is_seed_stable(tmp_path, capsys):
     config = write_config(tmp_path, seed=7)
     assert main(["verify", "-c", config]) == 0

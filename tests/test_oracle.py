@@ -169,6 +169,12 @@ def test_exhaustive_budget_error(two_state_model):
         exhaustive_policy_search(two_state_model, Expectation(), 10)
 
 
+def test_exhaustive_budget_is_checked_before_rules_are_enumerated(lq_fixture):
+    # 9**41 rules per stage: enumerating them first would never finish
+    with pytest.raises(BudgetExceededError, match=str(9 ** 41)):
+        exhaustive_policy_search(lq_fixture, Expectation(), 0)
+
+
 # ---------------------------------------------------------------------------
 # dual vertex enumeration
 
