@@ -340,6 +340,21 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
     return values[np.concatenate(([True], distinct))], np.bincount(inverse, weights=probs)
 
 
+def _check_shared_params(params):
+    """Checks common to ``InvestmentParams`` and ``LQParams``, run after
+    each class's own grid-bounds checks."""
+    if params.sigma < 0.0:
+        raise ValueError("sigma must be nonnegative")
+    if params.action_bound < 0.0:
+        raise ValueError("action bound must be nonnegative")
+    if params.grid_points < 2:
+        raise ValueError("grid needs at least two points")
+    if params.n_actions < 1:
+        raise ValueError("need at least one action")
+    if params.noise_atoms < 1:
+        raise ValueError("need at least one noise atom")
+
+
 @dataclass(frozen=True)
 class InvestmentParams:
     """Parameters of the wealth-investment model.
@@ -364,16 +379,7 @@ class InvestmentParams:
             raise ValueError("wealth grid lower bound must be nonnegative")
         if not self.wealth_hi > self.wealth_lo:
             raise ValueError("wealth grid upper bound must exceed the lower bound")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
-        if self.action_bound < 0.0:
-            raise ValueError("action bound must be nonnegative")
-        if self.grid_points < 2:
-            raise ValueError("grid needs at least two points")
-        if self.n_actions < 1:
-            raise ValueError("need at least one action")
-        if self.noise_atoms < 1:
-            raise ValueError("need at least one noise atom")
+        _check_shared_params(self)
 
 
 @dataclass(frozen=True)
@@ -395,16 +401,7 @@ class LQParams:
     def __post_init__(self):
         if not self.x_hi > self.x_lo:
             raise ValueError("state grid upper bound must exceed the lower bound")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
-        if self.action_bound < 0.0:
-            raise ValueError("action bound must be nonnegative")
-        if self.grid_points < 2:
-            raise ValueError("grid needs at least two points")
-        if self.n_actions < 1:
-            raise ValueError("need at least one action")
-        if self.noise_atoms < 1:
-            raise ValueError("need at least one noise atom")
+        _check_shared_params(self)
 
 
 def _uniform_actions(bound: float, n: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from .risk import (
     MeanDeviation,
     RiskSpec,
     _check_level,
+    _tail_take,
     evaluate,
 )
 from .solver import Policy
@@ -187,15 +188,13 @@ def scenario_tree_value(
 def _batch_avar(alpha: float, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """Tail-average risk of each row of ``outcomes`` under shared atom
     probabilities, via direct tail-mass collection."""
-    t = 1.0 - alpha
     order = np.argsort(-outcomes, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(outcomes, order, axis=1)
     sorted_probs = np.take_along_axis(
         np.broadcast_to(probs, outcomes.shape), order, axis=1
     )
-    cum = np.cumsum(sorted_probs, axis=1)
-    take = np.clip(t - (cum - sorted_probs), 0.0, sorted_probs)
-    return (sorted_vals * take).sum(axis=1) / t
+    take = _tail_take(alpha, sorted_probs)
+    return (sorted_vals * take).sum(axis=1) / (1.0 - alpha)
 
 
 def _batch_risk(risk: RiskSpec, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:

@@ -2,10 +2,16 @@
 
 A distribution is a finite list of (value, probability) atoms.  The module
 provides the left-side quantile, the tail-average risk (average value at
-risk) through two independent routes (quantile integral and a greedy dual
-density), the mean absolute-deviation risk (again primal and dual), and
-evaluation of the maximum over a finite family of tail-average mixtures.
-All functionals interpret larger values as worse outcomes (costs).
+risk) through two routes (quantile integral and a greedy dual density), the
+mean absolute-deviation risk (again primal and dual), and evaluation of the
+maximum over a finite family of tail-average mixtures.  All functionals
+interpret larger values as worse outcomes (costs).
+
+The tail-average primal and dual share one greedy tail take (``_tail_take``,
+also used batched by the oracle's exhaustive search); the dual's value is
+the expectation under the density it returns, so checking it checks that
+density.  The independent check of both is the vertex-enumeration LP in
+``riskdp.oracle``.
 """
 
 from __future__ import annotations
@@ -214,10 +220,10 @@ def value_at_risk(p: float, dist: DiscreteDistribution) -> float:
 
 
 def _tail_take(alpha: float, sorted_probs: np.ndarray) -> np.ndarray:
-    """Probability mass drawn from each atom (sorted worst first) when the
-    worst ``1 - alpha`` tail is collected greedily."""
+    """Probability mass drawn from each atom (sorted worst first along the
+    last axis) when the worst ``1 - alpha`` tail is collected greedily."""
     t = 1.0 - alpha
-    cum = np.cumsum(sorted_probs)
+    cum = sorted_probs.cumsum(axis=-1)
     return np.minimum(np.maximum(t - (cum - sorted_probs), 0.0), sorted_probs)
 
 
@@ -244,21 +250,18 @@ def avar_dual(alpha: float, dist: DiscreteDistribution) -> Tuple[float, DualDens
 
     The maximizer is greedy: atoms are scanned from worst value to best
     (ties in input order), each receiving the capped density until the unit
-    mass budget is spent, with a fractional weight on the boundary atom.
-    Returns the optimal value together with the maximizing density, whose
-    weights are aligned with the atoms of ``dist``.
+    mass budget is spent, with a fractional weight on the boundary atom;
+    this is ``avar_primal``'s tail take divided by ``1 - alpha``.  Returns
+    the expectation under the maximizing density together with the density,
+    whose weights are aligned with the atoms of ``dist``.
     """
     _check_level(alpha)
-    cap = 1.0 / (1.0 - alpha)
-    order = np.argsort(-dist.values, kind="stable")
+    order = (-dist.values).argsort(kind="stable")
     probs_sorted = dist.probs[order]
-    capped = cap * probs_sorted
-    cum = np.cumsum(capped)
-    take = np.clip(1.0 - (cum - capped), 0.0, capped)
     weights = np.zeros(len(dist))
-    weights[order] = take / probs_sorted
-    value = float(dist.values[order] @ take)
-    return value, DualDensity(weights)
+    weights[order] = _tail_take(alpha, probs_sorted) / probs_sorted / (1.0 - alpha)
+    density = DualDensity(weights)
+    return density.expectation(dist), density
 
 
 def mean_deviation_primal(kappa: float, dist: DiscreteDistribution) -> float:

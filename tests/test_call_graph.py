@@ -78,6 +78,9 @@ def test_traced_counts_follow_the_benchmark_identities(tmp_path):
     assert layer["model.successor_calls"] == pairs
     assert layer["model.interpolate_calls"] == layer["model.successor_calls"]
     assert layer["risk.avar_primal_calls"] == layer["risk.evaluate_calls"] == pairs
+    # the model table names its builders, so the tracer still sees them
+    names = [span[2] for span in tracer.spans]
+    assert names.count("model.build_lq") == names.count("cli.build_model") == 2
 
 
 def test_traced_verify_keeps_every_oracle_call(tmp_path, capsys):

@@ -514,6 +514,50 @@ def test_verify_reports_a_failed_spot_check_as_a_failed_suite(tmp_path, capsys, 
     assert {"risk", "kernel", "costs"} <= set(blob["instance"])
 
 
+def _nan_dual(dual):
+    def patched(level, dist):
+        _, density = dual(level, dist)
+        return float("nan"), density
+
+    return patched
+
+
+def _nan_values(route):
+    def patched(*args, **kwargs):
+        result = route(*args, **kwargs)
+        if isinstance(result, tuple):
+            return (result[0] * np.nan,) + result[1:]
+        return result * np.nan
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "route, suite, wrap",
+    [
+        ("avar_dual", "tail-average agreement", _nan_dual),
+        # not the first part of its check's error, where ``max`` would skip it
+        ("avar_lp_oracle", "tail-average agreement", _nan_values),
+        ("mean_deviation_dual", "mean-deviation agreement", _nan_dual),
+        ("exhaustive_policy_search", "dp vs exhaustive search", _nan_values),
+        ("evaluate_policy", "policy evaluation vs scenario tree", _nan_values),
+        ("risk_neutral_dp", "risk-neutral reference", _nan_values),
+    ],
+)
+def test_verify_fails_on_a_nan_from_any_route(tmp_path, capsys, monkeypatch, route, suite, wrap):
+    import riskdp.cli as cli
+
+    monkeypatch.setattr(cli, route, wrap(getattr(cli, route)))
+    config = write_config(tmp_path, horizon=1)
+    assert main(["verify", "-c", config]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (line,) = [l for l in captured.out.splitlines() if l.startswith(suite)]
+    assert "max_error=nan" in line and line.endswith("FAIL")
+    blob = json.loads((tmp_path / "out" / "counterexample.json").read_text())
+    assert blob["suite"] == suite
+
+
 def test_verify_is_seed_stable(tmp_path, capsys):
     config = write_config(tmp_path, seed=7)
     assert main(["verify", "-c", config]) == 0

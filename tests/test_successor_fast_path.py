@@ -214,3 +214,8 @@ def test_tail_take_matches_clip_form(alpha, weights):
     cum = np.cumsum(probs)
     expected = np.clip((1.0 - alpha) - (cum - probs), 0.0, probs)
     assert _tail_take(alpha, probs).tobytes() == expected.tobytes()
+    # a batch of rows, as the exhaustive search passes it, row by row
+    batch = np.stack([probs, probs[::-1], np.roll(probs, 1)])
+    cum = np.cumsum(batch, axis=1)
+    expected = np.clip((1.0 - alpha) - (cum - batch), 0.0, batch)
+    assert _tail_take(alpha, batch).tobytes() == expected.tobytes()
