@@ -385,14 +385,13 @@ def write_policy_csv(path: str, model: MarkovModel, policy: Policy):
     """Rows (stage, state, action value); the stationary tail rule is
     written with stage -1."""
     lines = ["stage,state,action"]
-    for stage, rule in enumerate(policy.stages):
+    rules = list(enumerate(policy.stages))
+    if policy.tail is not None:
+        rules.append((-1, policy.tail))
+    for stage, rule in rules:
         for i, x in enumerate(model.grid.points):
             a = float(model.actions.values[int(rule[i])])
             lines.append(f"{stage},{_fmt(float(x))},{_fmt(a)}")
-    if policy.tail is not None:
-        for i, x in enumerate(model.grid.points):
-            a = float(model.actions.values[int(policy.tail[i])])
-            lines.append(f"-1,{_fmt(float(x))},{_fmt(a)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -454,9 +453,21 @@ def read_policy_csv(path: str, model: MarkovModel) -> Policy:
     return Policy(stages=rules, tail=tail)
 
 
+def _strict_json(doc):
+    """``doc`` with each non-finite float as a string, ``"NaN"``,
+    ``"Infinity"`` or ``"-Infinity"``: JSON has no number for them."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else json.dumps(doc)
+    if isinstance(doc, dict):
+        return {key: _strict_json(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict_json(value) for value in doc]
+    return doc
+
+
 def _write_json(path: str, doc: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(_strict_json(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

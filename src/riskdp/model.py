@@ -144,7 +144,8 @@ class Tabular:
 
 @dataclass(frozen=True)
 class Dynamics:
-    """Point dynamics ``next_state(x, a, xi)`` driven by finite noise."""
+    """Point dynamics ``next_state(x, a, xi)`` driven by finite noise; the
+    model clamps every successor state to the grid range."""
 
     next_state: Callable[[float, float, float], float]
     noise: NoiseModel
@@ -163,11 +164,11 @@ class MarkovModel:
     construction.
 
     Relying on that rule, each (state, action) pair's successor support is
-    also cached, lazily, the first time ``successor_distribution`` asks for
-    it: the clamped successor states with the noise probabilities for
-    dynamics, the grid indices of the kernel row's support with their
-    probabilities for a tabular kernel.  The transition map then runs once
-    per pair per model rather than once per pair per sweep.
+    also cached, lazily, the first time the pair's successors are read: the
+    clamped successor states with the noise probabilities for dynamics, the
+    grid indices of the kernel row's support with their probabilities for a
+    tabular kernel.  The transition map then runs once per pair per model
+    rather than once per pair per sweep.
     """
 
     grid: StateGrid
@@ -270,6 +271,19 @@ def _grid_points(grid) -> np.ndarray:
     return grid.points if isinstance(grid, StateGrid) else np.asarray(grid, dtype=float)
 
 
+def _bracket(points: np.ndarray, xs: np.ndarray):
+    """``(xs, lo, hi, frac)``: the queries ``xs`` clamped to the grid range,
+    read as ``v[lo] + frac * (v[hi] - v[lo])`` except ``v[-1]`` at the end."""
+    xs = np.minimum(np.maximum(xs, points[0]), points[-1])
+    # side="right" puts queries that hit a grid point exactly at frac == 0,
+    # so on-grid lookups return the stored value with no rounding
+    hi = points.searchsorted(xs, side="right")
+    hi = np.minimum(np.maximum(hi, 1), len(points) - 1)
+    lo = hi - 1
+    frac = (xs - points[lo]) / (points[hi] - points[lo])
+    return xs, lo, hi, frac
+
+
 def interpolate(grid, values, x):
     """Piecewise-linear interpolation of grid values, clamping ``x`` to the
     grid range.  ``x`` may be a scalar or an array."""
@@ -278,14 +292,7 @@ def interpolate(grid, values, x):
     if values.shape != points.shape:
         raise ValueError("values must align with the grid")
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    xs = np.minimum(np.maximum(xs, points[0]), points[-1])
-    # side="right" puts queries that hit a grid point exactly at frac == 0,
-    # so on-grid lookups return the stored value with no rounding
-    hi = points.searchsorted(xs, side="right")
-    hi = np.minimum(np.maximum(hi, 1), len(points) - 1)
-    lo = hi - 1
-    frac = (xs - points[lo]) / (points[hi] - points[lo])
+    xs, lo, hi, frac = _bracket(points, np.atleast_1d(np.asarray(x, dtype=float)))
     out = values[lo] + frac * (values[hi] - values[lo])
     out = np.where(xs == points[-1], values[-1], out)
     return float(out[0]) if scalar else out
@@ -308,11 +315,10 @@ def successor_distribution(
         raise ValueError(
             f"action index {action_index} is not admissible at state {state_index}"
         )
+    # ``DiscreteDistribution`` rejects any non-finite value the pair reads
     v_next = np.asarray(v_next, dtype=float)
     if v_next.shape != (n,):
         raise ValueError("v_next must align with the grid")
-    if not np.isfinite(v_next).all():
-        raise ValueError("v_next must be finite")
 
     support, probs = model._successor_support(state_index, action_index)
     if isinstance(model.transition, Tabular):
@@ -414,16 +420,14 @@ def _uniform_actions(bound: float, n: int) -> np.ndarray:
 
 def build_investment(params: InvestmentParams, discount: float) -> MarkovModel:
     """Wealth model: ``x' = x * (1 + r + (mu - r) * a + sigma * a * xi)``
-    clamped to the wealth grid, with stage cost equal to wealth."""
+    with stage cost equal to wealth."""
     grid = StateGrid(np.linspace(params.wealth_lo, params.wealth_hi, params.grid_points))
     actions = ActionSet(_uniform_actions(params.action_bound, params.n_actions))
     noise = quantize_standard_normal(params.noise_atoms)
     mu, r, sigma = params.mu, params.r, params.sigma
-    lo, hi = grid.lo, grid.hi
 
     def next_state(x, a, xi):
-        raw = x * (1.0 + r + (mu - r) * a + sigma * a * xi)
-        return min(max(raw, lo), hi)
+        return x * (1.0 + r + (mu - r) * a + sigma * a * xi)
 
     def cost(x, a):
         return x
@@ -432,17 +436,15 @@ def build_investment(params: InvestmentParams, discount: float) -> MarkovModel:
 
 
 def build_lq(params: LQParams, discount: float) -> MarkovModel:
-    """Linear-quadratic model: ``x' = x + a + sigma * xi`` clamped to the
-    grid, with stage cost ``x**2 + a**2``."""
+    """Linear-quadratic model: ``x' = x + a + sigma * xi`` with stage cost
+    ``x**2 + a**2``."""
     grid = StateGrid(np.linspace(params.x_lo, params.x_hi, params.grid_points))
     actions = ActionSet(_uniform_actions(params.action_bound, params.n_actions))
     noise = quantize_standard_normal(params.noise_atoms)
     sigma = params.sigma
-    lo, hi = grid.lo, grid.hi
 
     def next_state(x, a, xi):
-        raw = x + a + sigma * xi
-        return min(max(raw, lo), hi)
+        return x + a + sigma * xi
 
     def cost(x, a):
         return x * x + a * a

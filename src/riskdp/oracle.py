@@ -10,6 +10,10 @@ expectations with its own interpolation.  Budgets are enforced loudly with
 
 The exhaustive search still enumerates every sequence but evaluates each
 (state, action) column once per stage, then copies it to every rule's block.
+It reads the model's cached successors, as ``successor_distribution`` does;
+the scenario tree and the risk-neutral dynamic program keep their own
+successor code, so the search's scenario-tree spot-check stays a second
+route.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .model import MarkovModel, Tabular
+from .model import MarkovModel, Tabular, _bracket as _grid_bracket
 from .risk import (
     AVaR,
     DiscreteDistribution,
@@ -215,34 +219,21 @@ def _batch_risk(risk: RiskSpec, probs: np.ndarray, outcomes: np.ndarray) -> np.n
     raise TypeError(f"unknown risk specification: {risk!r}")
 
 
-def _successor_structure(model: MarkovModel):
-    """Per (state, action): atom probabilities plus a sparse linear map
-    (two index/weight columns) from grid values to atom outcomes."""
-    structure = {}
+def _successor_outcomes(
+    model: MarkovModel, tails: np.ndarray, state_index: int, action_index: int
+):
+    """Atom probabilities of one pair's cached successors and, per row of
+    ``tails``, the values they read: the kernel row's support for a tabular
+    model, ``interpolate``'s bracketing for dynamics."""
+    support, probs = model._successor_support(state_index, action_index)
+    if isinstance(model.transition, Tabular):
+        return probs, tails[:, support]
     points = model.grid.points
-    for i in range(model.n_states):
-        for a_idx in model.actions.indices_for(i):
-            if isinstance(model.transition, Tabular):
-                row = model.transition.kernel[i, a_idx]
-                support = np.flatnonzero(row > 0.0)
-                probs = row[support]
-                idx = np.stack([support, np.zeros_like(support)], axis=1)
-                wts = np.stack([np.ones(len(support)), np.zeros(len(support))], axis=1)
-            else:
-                x = float(points[i])
-                a = float(model.actions.values[a_idx])
-                noise = model.transition.noise.dist
-                probs = noise.probs.copy()
-                idx = np.zeros((len(noise.values), 2), dtype=int)
-                wts = np.zeros((len(noise.values), 2))
-                for k, xi in enumerate(noise.values):
-                    succ = model.clamp(model.transition.next_state(x, a, float(xi)))
-                    pairs = _bracket(points, succ)
-                    for col, (j, w) in enumerate(pairs):
-                        idx[k, col] = j
-                        wts[k, col] = w
-            structure[(i, a_idx)] = (probs, idx, wts)
-    return structure
+    xs, lo, hi, frac = _grid_bracket(points, support)
+    outcomes = tails[:, lo] + frac * (tails[:, hi] - tails[:, lo])
+    outcomes = np.where(xs == points[-1], tails[:, -1:], outcomes)
+    # C order, as stacked ``interpolate`` rows: ``@`` sums F order otherwise
+    return probs, np.ascontiguousarray(outcomes)
 
 
 def exhaustive_policy_search(
@@ -276,7 +267,6 @@ def exhaustive_policy_search(
             f"{total} stage-policy sequences exceed the "
             f"{MAX_POLICY_SEQUENCES} budget"
         )
-    structure = _successor_structure(model)
     beta = model.discount
 
     # tails[t] is the value vector of one policy-tail; peeling stages from
@@ -294,8 +284,7 @@ def exhaustive_policy_search(
             # tail, state); the copies below fill grown in place
             blocks = grown.reshape(before, sizes[i], after, t_count, n)
             for d, a_idx in enumerate(choices[i]):
-                probs, idx, wts = structure[(i, a_idx)]
-                outcomes = tails[:, idx[:, 0]] * wts[:, 0] + tails[:, idx[:, 1]] * wts[:, 1]
+                probs, outcomes = _successor_outcomes(model, tails, i, a_idx)
                 blocks[:, d, :, :, i] = model.cost_at(i, a_idx) + beta * _batch_risk(
                     risk, probs, outcomes
                 )

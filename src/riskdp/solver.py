@@ -274,13 +274,10 @@ def assemble_epsilon_policy(stage_rules: Sequence, base_rule) -> Policy:
     The resulting policy follows ``stage_rules[n]`` for the covered stages
     and the base rule for every stage after them.
     """
-    rules = [np.asarray(rule, dtype=int) for rule in stage_rules]
+    rules = tuple(stage_rules)
     if not rules:
         raise ValueError("need at least one stage rule")
-    base = np.asarray(base_rule, dtype=int)
-    if any(rule.shape != base.shape for rule in rules):
-        raise ValueError("all decision rules must cover the same state count")
-    return Policy(stages=tuple(rules), tail=base)
+    return Policy(stages=rules, tail=base_rule)
 
 
 def evaluate_policy(

@@ -514,6 +514,22 @@ def test_verify_reports_a_failed_spot_check_as_a_failed_suite(tmp_path, capsys, 
     assert {"risk", "kernel", "costs"} <= set(blob["instance"])
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_json_outputs_spell_non_finite_floats_as_strings(tmp_path):
+    from riskdp.cli import _write_json
+
+    path = tmp_path / "doc.json"
+    doc = {"a": [1.5, float("nan"), (float("inf"), -float("inf"))], "b": {"c": np.float64("nan")}}
+    _write_json(str(path), doc)
+    assert json.loads(path.read_text(), parse_constant=_reject_constant) == {
+        "a": [1.5, "NaN", ["Infinity", "-Infinity"]],
+        "b": {"c": "NaN"},
+    }
+
+
 def _nan_dual(dual):
     def patched(level, dist):
         _, density = dual(level, dist)
@@ -554,7 +570,10 @@ def test_verify_fails_on_a_nan_from_any_route(tmp_path, capsys, monkeypatch, rou
     assert "Traceback" not in captured.err
     (line,) = [l for l in captured.out.splitlines() if l.startswith(suite)]
     assert "max_error=nan" in line and line.endswith("FAIL")
-    blob = json.loads((tmp_path / "out" / "counterexample.json").read_text())
+    # strict JSON: no bare NaN or Infinity token
+    blob = json.loads(
+        (tmp_path / "out" / "counterexample.json").read_text(), parse_constant=_reject_constant
+    )
     assert blob["suite"] == suite
 
 

@@ -209,6 +209,28 @@ def test_successor_rejects_bad_inputs():
         successor_distribution(model, 0, 0, np.array([np.nan, 0.0]))
 
 
+# inf - inf in the interpolation warns on the way to the rejection
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_successor_rejects_a_non_finite_value_the_pair_reads(bad):
+    # state 1, action 1 moves to state 1 only
+    v_next = np.array([0.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        successor_distribution(two_state_model(), 1, 1, v_next)
+    params = LQParams(
+        sigma=0.5, action_bound=1.0, x_lo=-2.0, x_hi=2.0,
+        grid_points=5, n_actions=3, noise_atoms=2,
+    )
+    model = build_lq(params, 0.5)
+    # from x = 0 with a = 0 both successors lie within one grid step of 0;
+    # from x = 2 with a = 1 both are clamped onto the last grid point
+    for state_index, action_index, read in ((2, 1, 2), (4, 2, 4)):
+        v_next = np.zeros(5)
+        v_next[read] = bad
+        with pytest.raises(ValueError, match="finite"):
+            successor_distribution(model, state_index, action_index, v_next)
+
+
 def test_successor_rejects_inadmissible_action():
     grid = StateGrid(np.array([0.0, 1.0]))
     actions = ActionSet(np.array([0.0, 1.0]), admissible=((0,), (0, 1)))
@@ -278,9 +300,9 @@ def test_build_lq_dynamics():
     model = build_lq(params, 0.5)
     assert model.transition.next_state(1.0, -1.0, 0.0) == 0.0
     assert model.cost(1.0, -1.0) == 2.0
-    # clamped at the grid edges
-    assert model.transition.next_state(3.0, 2.0, 3.0) == 3.0
-    assert model.transition.next_state(-3.0, -2.0, -3.0) == -3.0
+    # the model clamps successors at the grid edges
+    assert model.clamp(model.transition.next_state(3.0, 2.0, 3.0)) == 3.0
+    assert model.clamp(model.transition.next_state(-3.0, -2.0, -3.0)) == -3.0
     assert len(model.grid) == 41
     assert model.actions.values.tolist() == [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
 

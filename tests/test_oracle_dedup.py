@@ -11,11 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskdp.fixtures import random_tabular_model
-from riskdp.model import ActionSet, LQParams, MarkovModel, StateGrid, Tabular, build_lq
+from riskdp.model import (
+    ActionSet,
+    LQParams,
+    MarkovModel,
+    StateGrid,
+    Tabular,
+    build_lq,
+    interpolate,
+)
 from riskdp.oracle import (
     MAX_LP_ATOMS,
     _batch_risk,
-    _successor_structure,
     _vertex_masks,
     avar_lp_oracle,
     exhaustive_policy_search,
@@ -33,13 +40,27 @@ from riskdp.risk import (
 MAX_REFERENCE_SEQUENCES = 4096
 
 
+def reference_outcomes(model, tails, i, a_idx):
+    """Atom probabilities of one pair and, per row of ``tails``, the values
+    its successors read: the kernel row's support for a tabular model, the
+    public ``interpolate`` row by row for dynamics."""
+    if isinstance(model.transition, Tabular):
+        row = model.transition.kernel[i, a_idx]
+        support = np.flatnonzero(row > 0.0)
+        return row[support], tails[:, support]
+    x = float(model.grid.points[i])
+    a = float(model.actions.values[a_idx])
+    noise = model.transition.noise.dist
+    succ = [model.clamp(model.transition.next_state(x, a, float(xi))) for xi in noise.values]
+    return noise.probs, np.array([interpolate(model.grid, row, succ) for row in tails])
+
+
 def per_rule_search(model, risk, depth):
     """The search with every column recomputed for every rule: values and,
     per initial state, the minimizing sequence of stage rules."""
     n = model.n_states
     rules = list(itertools.product(*[model.actions.indices_for(i) for i in range(n)]))
     n_rules = len(rules)
-    structure = _successor_structure(model)
     beta = model.discount
     tails = np.zeros((1, n))
     for _ in range(depth + 1):
@@ -48,8 +69,7 @@ def per_rule_search(model, risk, depth):
         for r, rule in enumerate(rules):
             block = grown[r * t_count : (r + 1) * t_count]
             for i in range(n):
-                probs, idx, wts = structure[(i, rule[i])]
-                outcomes = tails[:, idx[:, 0]] * wts[:, 0] + tails[:, idx[:, 1]] * wts[:, 1]
+                probs, outcomes = reference_outcomes(model, tails, i, rule[i])
                 block[:, i] = model.cost_at(i, rule[i]) + beta * _batch_risk(
                     risk, probs, outcomes
                 )
@@ -155,6 +175,24 @@ def test_exhaustive_search_matches_per_rule_loop_on_the_verify_models():
         ref_values, ref_policies = per_rule_search(model, risk, 2)
         assert np.array_equal(values, ref_values)
         assert policies == ref_policies
+
+
+@pytest.mark.parametrize("noise_atoms", [3, 5, 7])
+def test_exhaustive_search_matches_per_rule_loop_on_lq_models(noise_atoms):
+    """Many policy tails read through ``interpolate``'s bracketing: an
+    outcome matrix in another memory order than the stacked reference rows
+    sums its rows in another order."""
+    for sigma in (0.4, 0.9):
+        params = LQParams(
+            sigma=sigma, action_bound=1.0, x_lo=-1.0, x_hi=1.0,
+            grid_points=3, n_actions=2, noise_atoms=noise_atoms,
+        )
+        model = build_lq(params, 0.6)
+        for risk in (Expectation(), AVaR(0.3), MeanDeviation(0.4)):
+            values, policies = exhaustive_policy_search(model, risk, 2)
+            ref_values, ref_policies = per_rule_search(model, risk, 2)
+            assert np.array_equal(values, ref_values)
+            assert policies == ref_policies
 
 
 def test_vertex_masks_are_cached_and_read_only():
