@@ -275,25 +275,27 @@ def parse_config(doc: dict, config_dir: str = ".") -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """Read and validate a configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
     return parse_config(doc, config_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _load_tabular_file(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read model file {path!r}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
         raise ConfigError(f"model file {path!r}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"model file {path!r}: expected a JSON object")
     for key in ("states", "actions", "kernel", "costs"):
         if key not in doc:
             raise ConfigError(f"model file {path!r}: missing field {key!r}")
@@ -324,7 +326,7 @@ def build_model(config: RunConfig) -> MarkovModel:
         return globals()[builder](params(**config.model_spec), config.discount)
     except ConfigError:
         raise
-    except (ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config.model.{config.model_kind}: {exc}") from exc
 
 
@@ -341,7 +343,16 @@ def compute_c_bar(config: RunConfig, model: MarkovModel, risk: RiskSpec) -> floa
     if config.model_kind == "lq":
         worst = max(abs(model.grid.lo), abs(model.grid.hi))
         sigma = float(config.model_spec["sigma"])
-        return 2.0 * worst ** 2 + 2.0 * sigma ** 2 * density_cap(risk)
+        try:
+            c_bar = 2.0 * worst ** 2 + 2.0 * sigma ** 2 * density_cap(risk)
+        except OverflowError:
+            c_bar = math.inf
+        if not math.isfinite(c_bar):
+            raise ConfigError(
+                "config.model.lq: the stage-cost bound 2 * x**2 + 2 * sigma**2 * cap "
+                "overflows; sigma or the grid bounds are too large"
+            )
+        return c_bar
     return float(np.nanmax(model.cost_table))
 
 

@@ -43,7 +43,10 @@ class StateGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
+        # a read-only copy: the successor brackets a model caches are only
+        # valid for the points they were computed on
+        points = np.array(self.points, dtype=float)
+        points.setflags(write=False)
         object.__setattr__(self, "points", points)
         if points.ndim != 1 or len(points) < 2:
             raise ValueError("grid needs at least two points")
@@ -101,11 +104,12 @@ class ActionSet:
                     raise ValueError(f"state {state} repeats an action index")
                 normalized.append(idx)
             object.__setattr__(self, "admissible", tuple(normalized))
+        object.__setattr__(self, "_every_index", tuple(range(len(values))))
 
     def indices_for(self, state_index: int) -> Tuple[int, ...]:
         """Admissible action indices at a state, in increasing order."""
         if self.admissible is None:
-            return tuple(range(len(self.values)))
+            return self._every_index
         return self.admissible[state_index]
 
     def __len__(self) -> int:
@@ -164,11 +168,14 @@ class MarkovModel:
     construction.
 
     Relying on that rule, each (state, action) pair's successor support is
-    also cached, lazily, the first time the pair's successors are read: the
-    clamped successor states with the noise probabilities for dynamics, the
-    grid indices of the kernel row's support with their probabilities for a
-    tabular kernel.  The transition map then runs once per pair per model
-    rather than once per pair per sweep.
+    also cached, lazily, the first time the pair's successors are read: for
+    dynamics, the grid bracket of the clamped successor states (lower and
+    upper grid index and interpolation weight of each, and which sit on the
+    last grid point) with the noise probabilities; for a tabular kernel, the
+    grid indices of the kernel row's support with their probabilities.  The
+    transition map and the bracketing then run once per pair per model, and
+    a sweep only reads the grid values through the cached bracket.  The
+    cached arrays and the grid points are read-only.
     """
 
     grid: StateGrid
@@ -228,22 +235,25 @@ class MarkovModel:
 
     def _successor_support(self, state_index, action_index):
         """Cached (support, probabilities) of one pair's successors: grid
-        indices for a tabular kernel, clamped successor states for
-        dynamics."""
+        indices for a tabular kernel, the ``_GridQuery`` bracketing the
+        clamped successor states for dynamics."""
         key = (state_index, action_index)
         support = self._successors.get(key)
         if support is None:
             if isinstance(self.transition, Tabular):
                 row = self.transition.kernel[state_index, action_index]
                 mask = row > 0.0
-                support = (np.flatnonzero(mask), row[mask])
+                indices, probs = np.flatnonzero(mask), row[mask]
+                indices.setflags(write=False)
+                probs.setflags(write=False)
+                support = (indices, probs)
             else:
                 x = float(self.grid.points[state_index])
                 a = float(self.actions.values[action_index])
                 noise = self.transition.noise.dist
                 next_state = self.transition.next_state
                 succ = np.array([self.clamp(next_state(x, a, float(xi))) for xi in noise.values])
-                support = (succ, noise.probs)
+                support = (_bracket(self.grid.points, succ), noise.probs)
             self._successors[key] = support
         return support
 
@@ -271,9 +281,38 @@ def _grid_points(grid) -> np.ndarray:
     return grid.points if isinstance(grid, StateGrid) else np.asarray(grid, dtype=float)
 
 
-def _bracket(points: np.ndarray, xs: np.ndarray):
-    """``(xs, lo, hi, frac)``: the queries ``xs`` clamped to the grid range,
-    read as ``v[lo] + frac * (v[hi] - v[lo])`` except ``v[-1]`` at the end."""
+class _GridQuery:
+    """Fixed query points bracketed on one grid, made by ``_bracket``.
+
+    ``read(v)`` interpolates grid values ``v`` at the points as
+    ``v[lo] + frac * (v[hi] - v[lo])``, with ``v[-1]`` at the ``ends``
+    (points on the last grid point, where that form can round).  ``v`` is
+    one value vector or a 2-d stack of them, read row by row.
+    """
+
+    __slots__ = ("points", "lo", "hi", "frac", "ends")
+
+    def __init__(self, points, lo, hi, frac, ends):
+        for array in (lo, hi, frac, ends):
+            array.setflags(write=False)
+        self.points, self.lo, self.hi, self.frac, self.ends = points, lo, hi, frac, ends
+
+    def read(self, values: np.ndarray) -> np.ndarray:
+        # one vector is the solver's hot path, and ``values[..., idx]``
+        # gathers several times slower than ``values[idx]``
+        if values.ndim == 1:
+            lo, hi = values[self.lo], values[self.hi]
+        else:
+            lo, hi = values[:, self.lo], values[:, self.hi]
+        out = lo + self.frac * (hi - lo)
+        if len(self.ends):
+            out[..., self.ends] = values[..., -1:]
+        return out
+
+
+def _bracket(points: np.ndarray, xs: np.ndarray) -> _GridQuery:
+    """The queries ``xs``, clamped to the grid range, bracketed on
+    ``points``."""
     xs = np.minimum(np.maximum(xs, points[0]), points[-1])
     # side="right" puts queries that hit a grid point exactly at frac == 0,
     # so on-grid lookups return the stored value with no rounding
@@ -281,7 +320,7 @@ def _bracket(points: np.ndarray, xs: np.ndarray):
     hi = np.minimum(np.maximum(hi, 1), len(points) - 1)
     lo = hi - 1
     frac = (xs - points[lo]) / (points[hi] - points[lo])
-    return xs, lo, hi, frac
+    return _GridQuery(points, lo, hi, frac, np.flatnonzero(xs == points[-1]))
 
 
 def interpolate(grid, values, x):
@@ -291,10 +330,13 @@ def interpolate(grid, values, x):
     values = np.asarray(values, dtype=float)
     if values.shape != points.shape:
         raise ValueError("values must align with the grid")
+    if isinstance(x, _GridQuery):
+        # a model's cached successor bracket
+        if x.points is not points:
+            raise ValueError("query was bracketed on another grid")
+        return x.read(values)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs, lo, hi, frac = _bracket(points, np.atleast_1d(np.asarray(x, dtype=float)))
-    out = values[lo] + frac * (values[hi] - values[lo])
-    out = np.where(xs == points[-1], values[-1], out)
+    out = _bracket(points, np.atleast_1d(np.asarray(x, dtype=float))).read(values)
     return float(out[0]) if scalar else out
 
 
@@ -346,6 +388,12 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
     return values[np.concatenate(([True], distinct))], np.bincount(inverse, weights=probs)
 
 
+#: largest ``grid_points * n_actions * noise_atoms`` of a parametric model:
+#: the model caches one bracketed successor per atom, and a sweep reads them
+#: all (1001 x 41 x 15 is 615,615)
+MAX_SUCCESSOR_ATOMS = 10 ** 7
+
+
 def _check_shared_params(params):
     """Checks common to ``InvestmentParams`` and ``LQParams``, run after
     each class's own grid-bounds checks."""
@@ -359,6 +407,11 @@ def _check_shared_params(params):
         raise ValueError("need at least one action")
     if params.noise_atoms < 1:
         raise ValueError("need at least one noise atom")
+    if params.grid_points * params.n_actions * params.noise_atoms > MAX_SUCCESSOR_ATOMS:
+        raise ValueError(
+            "grid_points * n_actions * noise_atoms exceeds the budget of "
+            f"{MAX_SUCCESSOR_ATOMS} successor atoms"
+        )
 
 
 @dataclass(frozen=True)
@@ -425,6 +478,16 @@ def build_investment(params: InvestmentParams, discount: float) -> MarkovModel:
     actions = ActionSet(_uniform_actions(params.action_bound, params.n_actions))
     noise = quantize_standard_normal(params.noise_atoms)
     mu, r, sigma = params.mu, params.r, params.sigma
+    # wealth times a finite growth factor is finite or clamped; an infinite
+    # one would make the successor of zero wealth NaN
+    a, xi = actions.values[:, None], noise.dist.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = 1.0 + r + (mu - r) * a + sigma * a * xi
+    if not np.isfinite(growth).all():
+        raise ValueError(
+            "growth factor 1 + r + (mu - r) * a + sigma * a * xi overflows; "
+            "mu, r, sigma or the action bound are too large"
+        )
 
     def next_state(x, a, xi):
         return x * (1.0 + r + (mu - r) * a + sigma * a * xi)

@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .model import MarkovModel, Tabular, _bracket as _grid_bracket
+from .model import MarkovModel, Tabular
 from .risk import (
     AVaR,
     DiscreteDistribution,
@@ -224,16 +224,12 @@ def _successor_outcomes(
 ):
     """Atom probabilities of one pair's cached successors and, per row of
     ``tails``, the values they read: the kernel row's support for a tabular
-    model, ``interpolate``'s bracketing for dynamics."""
+    model, the cached grid bracket ``interpolate`` reads for dynamics."""
     support, probs = model._successor_support(state_index, action_index)
     if isinstance(model.transition, Tabular):
         return probs, tails[:, support]
-    points = model.grid.points
-    xs, lo, hi, frac = _grid_bracket(points, support)
-    outcomes = tails[:, lo] + frac * (tails[:, hi] - tails[:, lo])
-    outcomes = np.where(xs == points[-1], tails[:, -1:], outcomes)
     # C order, as stacked ``interpolate`` rows: ``@`` sums F order otherwise
-    return probs, np.ascontiguousarray(outcomes)
+    return probs, np.ascontiguousarray(support.read(tails))
 
 
 def exhaustive_policy_search(

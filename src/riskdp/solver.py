@@ -13,6 +13,7 @@ base rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -254,8 +255,8 @@ def epsilon_horizon(c_bar: float, discount: float, epsilon: float) -> HorizonBou
     ``c_bar * discount**(n0 + 1) / (1 - discount)``; the returned pair also
     reports that exact tail value.
     """
-    if c_bar < 0.0:
-        raise ValueError(f"c_bar must be nonnegative, got {c_bar!r}")
+    if not (0.0 <= c_bar < math.inf):
+        raise ValueError(f"c_bar must be finite and nonnegative, got {c_bar!r}")
     if not (0.0 < discount < 1.0):
         raise ValueError(f"discount must lie in (0, 1), got {discount!r}")
     if epsilon <= 0.0:

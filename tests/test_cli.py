@@ -196,6 +196,76 @@ def test_tabular_file_with_infinite_size_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config.model.tabular: ")
 
 
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ('{"states": null, "actions": 2, "kernel": [], "costs": []}', "config.model.tabular: "),
+        ("[1, 2]", "model file "),
+        ("5", "model file "),
+        ('{"states": 1' + "0" * 5000 + "}", "model file "),
+    ],
+    ids=["null-size", "list", "number", "integer-too-long"],
+)
+def test_malformed_tabular_file_exits_2(tmp_path, capsys, text, fragment):
+    config = write_tabular_config(tmp_path)
+    (tmp_path / "tab.json").write_text(text)
+    assert main(["solve", "-c", config]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {fragment}")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", b'{"discount": 1' + b"0" * 5000 + b"}"],
+    ids=["not-utf-8", "integer-too-long"],
+)
+def test_unreadable_config_text_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert main(["solve", "-c", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: config: invalid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "model,fragment",
+    [
+        # grid_points * n_actions * noise_atoms is over the successor budget;
+        # the check runs before any allocation, so this returns at once
+        (
+            {"lq": dict(LQ_MODEL["lq"], grid_points=10 ** 6, n_actions=10)},
+            "config.model.lq: grid_points * n_actions * noise_atoms exceeds",
+        ),
+        (
+            {
+                "investment": {
+                    "mu": 0.05, "r": 0.0, "sigma": 0.2, "action_bound": 1.0,
+                    "wealth_lo": 0.0, "wealth_hi": 2.0,
+                    "grid_points": 10 ** 4, "n_actions": 10 ** 4, "noise_atoms": 10 ** 4,
+                }
+            },
+            "config.model.investment: grid_points * n_actions * noise_atoms exceeds",
+        ),
+        # growth factors that overflow would make zero wealth's successor NaN
+        (
+            {
+                "investment": {
+                    "mu": 0.05, "r": 0.0, "sigma": 1e308, "action_bound": 2.0,
+                    "wealth_lo": 0.0, "wealth_hi": 2.0,
+                    "grid_points": 5, "n_actions": 3, "noise_atoms": 3,
+                }
+            },
+            "config.model.investment: growth factor",
+        ),
+        # the LQ stage-cost bound 2 x**2 + 2 sigma**2 cap overflows
+        ({"lq": dict(LQ_MODEL["lq"], sigma=1e300)}, "config.model.lq: the stage-cost bound"),
+    ],
+    ids=["lq-over-budget", "investment-over-budget", "growth-overflow", "cost-bound-overflow"],
+)
+def test_model_out_of_budget_or_overflowing_exits_2(tmp_path, capsys, model, fragment):
+    config = write_config(tmp_path, model=model)
+    assert main(["solve", "-c", config]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {fragment}")
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -36,6 +36,28 @@ def test_state_grid_validation():
     assert len(grid) == 3
 
 
+def test_grid_points_are_a_read_only_copy():
+    """The brackets a model caches hold only for the points they were made
+    on, so the grid keeps its own read-only copy of the caller's array."""
+    caller = np.linspace(-1.0, 1.0, 5)
+    grid = StateGrid(caller)
+    caller[0] = -7.0  # the caller's array stays writable
+    assert grid.points[0] == -1.0
+    model = build_lq(LQParams(1.0, 1.0, -1.0, 1.0, 5, 3, 3), 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        model.grid.points[2] = 0.5
+
+
+def test_cached_successor_arrays_are_read_only(two_state_model):
+    model = build_lq(LQParams(1.0, 1.0, -1.0, 1.0, 5, 3, 3), 0.5)
+    query, _ = model._successor_support(4, 2)  # one successor clamps at the top
+    assert len(query.ends) > 0
+    for array in (query.lo, query.hi, query.frac, query.ends):
+        assert not array.flags.writeable
+    indices, probs = two_state_model._successor_support(0, 1)
+    assert not indices.flags.writeable and not probs.flags.writeable
+
+
 def test_action_set_admissibility():
     acts = ActionSet(np.array([-1.0, 0.0, 1.0]), admissible=((0, 2), (1,), (0, 1, 2)))
     assert acts.indices_for(0) == (0, 2)
@@ -290,6 +312,23 @@ def test_build_investment_rejects_negative_wealth_grid():
             mu=0.05, r=0.0, sigma=0.2, action_bound=1.0,
             wealth_lo=-0.5, wealth_hi=2.0, grid_points=11, n_actions=3, noise_atoms=2,
         )
+
+
+def test_parametric_models_have_a_successor_atom_budget():
+    from riskdp.model import MAX_SUCCESSOR_ATOMS
+
+    # the largest benchmark-scale config (1001 x 41 x 15) stays admitted
+    LQParams(1.0, 2.0, -3.0, 3.0, 1001, 41, 15)
+    assert 1001 * 41 * 15 <= MAX_SUCCESSOR_ATOMS
+    with pytest.raises(ValueError, match="successor atoms"):
+        LQParams(1.0, 2.0, -3.0, 3.0, MAX_SUCCESSOR_ATOMS, 2, 1)
+    with pytest.raises(ValueError, match="successor atoms"):
+        InvestmentParams(0.05, 0.0, 0.2, 1.0, 0.0, 2.0, 10 ** 3, 10 ** 3, 11)
+
+
+def test_build_investment_rejects_an_overflowing_growth_factor():
+    with pytest.raises(ValueError, match="growth factor"):
+        build_investment(InvestmentParams(1e308, -1e308, 0.2, 1.0, 0.0, 2.0, 5, 3, 3), 0.9)
 
 
 def test_build_lq_dynamics():

@@ -1,11 +1,14 @@
-"""Differential tests: the cached successor support, the sort-and-mask atom
-merge and the ``np.minimum``/``np.maximum`` clamps against test-local
-copies of the straightforward forms they replace, compared bit for bit."""
+"""Differential tests: the cached successor support and its grid bracket,
+the sort-and-mask atom merge and the ``np.minimum``/``np.maximum`` clamps
+against test-local copies of the straightforward forms they replace,
+compared bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskdp import model as model_module
 from riskdp.model import (
     ActionSet,
     InvestmentParams,
@@ -18,7 +21,8 @@ from riskdp.model import (
     interpolate,
     successor_distribution,
 )
-from riskdp.risk import _tail_take
+from riskdp.risk import AVaR, _tail_take
+from riskdp.solver import Policy, bellman_update, evaluate_policy
 
 
 def clip_interpolate(points, values, xs):
@@ -31,6 +35,16 @@ def clip_interpolate(points, values, xs):
     return np.where(xs == points[-1], values[-1], out)
 
 
+def fresh_successors(model, i, a_idx):
+    """One pair's clamped successor states, recomputed from the dynamics."""
+    x = float(model.grid.points[i])
+    a = float(model.actions.values[a_idx])
+    noise = model.transition.noise.dist
+    return np.array(
+        [model.clamp(model.transition.next_state(x, a, float(xi))) for xi in noise.values]
+    )
+
+
 def reference_successors(model, i, a_idx, v_next):
     """Successor distribution recomputed from scratch on every call: the
     transition map and the clamp per noise atom, interpolation, then
@@ -40,14 +54,8 @@ def reference_successors(model, i, a_idx, v_next):
         mask = row > 0.0
         values, probs = v_next[mask], row[mask]
     else:
-        x = float(model.grid.points[i])
-        a = float(model.actions.values[a_idx])
-        noise = model.transition.noise.dist
-        succ = np.array(
-            [model.clamp(model.transition.next_state(x, a, float(xi))) for xi in noise.values]
-        )
-        values = clip_interpolate(model.grid.points, v_next, succ)
-        probs = noise.probs
+        values = clip_interpolate(model.grid.points, v_next, fresh_successors(model, i, a_idx))
+        probs = model.transition.noise.dist.probs
     merged, inverse = np.unique(values, return_inverse=True)
     return merged, np.bincount(inverse, weights=probs)
 
@@ -178,10 +186,23 @@ def test_successor_cache_is_per_model(data):
         ),
         0.5,
     )
+    # same shape, another grid: a bracket shared across models reads wrongly
+    third = build_lq(
+        LQParams(
+            sigma=sigma,
+            action_bound=float(first.actions.values[-1]),
+            x_lo=first.grid.lo - 0.5,
+            x_hi=first.grid.hi + 1.0,
+            grid_points=first.n_states,
+            n_actions=first.n_actions,
+            noise_atoms=len(first.transition.noise.dist),
+        ),
+        0.5,
+    )
     v_next = data.draw(value_functions(first.n_states))
     for i in range(first.n_states):
         for a_idx in range(first.n_actions):
-            for model in (first, second, first):
+            for model in (first, second, third, first):
                 dist = successor_distribution(model, i, a_idx, v_next)
                 values, probs = reference_successors(model, i, a_idx, v_next)
                 assert np.array_equal(dist.values, values)
@@ -202,6 +223,71 @@ def test_interpolate_matches_clip_form(points, xs, data):
     xs = np.array(xs + [points[0], points[-1]])
     got = interpolate(points, values, xs)
     assert got.tobytes() == clip_interpolate(points, values, xs).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cached_bracket_reads_as_interpolate_does(data):
+    """Each pair's cached bracket, read through ``interpolate``, equals
+    public ``interpolate`` of the freshly computed successor states and the
+    ``np.clip`` form, byte for byte; a stack of value vectors reads as its
+    rows do."""
+    model = data.draw(st.one_of(lq_models(), investment_models()))
+    points = model.grid.points
+    rows = np.stack([data.draw(value_functions(model.n_states)) for _ in range(3)])
+    for i in range(model.n_states):
+        for a_idx in model.actions.indices_for(i):
+            query, _ = model._successor_support(i, a_idx)
+            succ = fresh_successors(model, i, a_idx)
+            for v_next in rows:
+                got = interpolate(model.grid, v_next, query)
+                assert got.tobytes() == interpolate(model.grid, v_next, succ).tobytes()
+                assert got.tobytes() == clip_interpolate(points, v_next, succ).tobytes()
+            stacked = np.ascontiguousarray(query.read(rows))
+            assert stacked.tobytes() == np.stack([query.read(v) for v in rows]).tobytes()
+
+
+def test_bracket_reads_the_grid_edges_and_interior_grid_points_exactly():
+    """Queries on both edges, beyond them and on every interior grid point
+    read the stored value itself.  At the top edge ``v[lo] + 1.0 * (v[hi] -
+    v[lo])`` would round: here it gives 0.0 in place of 1.0."""
+    grid = StateGrid(np.array([-1.0, -0.3, 0.2, 0.9, 2.5]))
+    values = np.array([3.0, 0.1, 7.25, 1e16, 1.0])
+    xs = np.concatenate(([-5.0], grid.points, [9.0]))
+    expected = np.concatenate(([values[0]], values, [values[-1]]))
+    query = model_module._bracket(grid.points, xs)
+    assert interpolate(grid, values, query).tobytes() == expected.tobytes()
+    assert interpolate(grid, values, xs).tobytes() == expected.tobytes()
+    assert interpolate(grid, values, 2.5) == 1.0
+    assert interpolate(grid, values, -1.0) == 3.0
+
+
+def test_a_bracket_reads_only_the_grid_it_was_made_on():
+    first = build_lq(LQParams(1.0, 1.0, -1.0, 1.0, 5, 3, 3), 0.5)
+    second = build_lq(LQParams(1.0, 1.0, -2.0, 2.0, 5, 3, 3), 0.5)
+    query, _ = first._successor_support(0, 0)
+    with pytest.raises(ValueError, match="another grid"):
+        interpolate(second.grid, np.zeros(5), query)
+
+
+def test_each_dynamics_pair_is_bracketed_once_per_model(monkeypatch):
+    """Two Bellman sweeps and a policy evaluation bracket each (state,
+    action) pair once, when its successors are first cached."""
+    model = build_lq(LQParams(1.0, 2.0, -3.0, 3.0, 9, 5, 5), 0.5)
+    calls = []
+    bracket = model_module._bracket
+
+    def counting_bracket(points, xs):
+        calls.append(len(xs))
+        return bracket(points, xs)
+
+    monkeypatch.setattr(model_module, "_bracket", counting_bracket)
+    risk = AVaR(0.5)
+    v, _ = bellman_update(model, risk, np.zeros(model.n_states))
+    v, rule = bellman_update(model, risk, v)
+    evaluate_policy(model, risk, Policy.stationary(rule), 3)
+    assert len(calls) == model.n_states * model.n_actions
+    assert set(calls) == {5}
 
 
 @settings(max_examples=200, deadline=None)
