@@ -348,7 +348,10 @@ def successor_distribution(
     For a tabular mechanism the atoms pair ``v_next[j]`` with the kernel row
     probabilities; for dynamics each noise atom is pushed through the
     transition map, clamped to the grid, and read off ``v_next`` by linear
-    interpolation.  Atoms with identical values are merged.
+    interpolation.  Atoms with identical values are merged, so the returned
+    atoms are sorted ascending and distinct; their arrays are read-only, and
+    ``avar_primal`` reads them worst first in that order instead of sorting
+    them again.
     """
     n = model.n_states
     if not (0 <= state_index < n):
@@ -367,7 +370,7 @@ def successor_distribution(
         values = v_next[support]
     else:
         values = interpolate(model.grid, v_next, support)
-    return DiscreteDistribution(*_merge_atoms(values, probs))
+    return DiscreteDistribution._from_ascending(*_merge_atoms(values, probs))
 
 
 def _merge_atoms(values: np.ndarray, probs: np.ndarray):
@@ -376,12 +379,12 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
     Equal to ``np.unique(values, return_inverse=True)`` followed by
     ``np.bincount(inverse, weights=probs)``, bit for bit: distinct atoms
     come back in sorted order untouched, and merged ones are summed by the
-    same ``bincount`` in input order.
+    same ``bincount`` in input order.  Both returned arrays are new.
     """
     order = values.argsort(kind="stable")
     values = values[order]
     distinct = values[1:] != values[:-1]
-    if distinct.all():
+    if np.count_nonzero(distinct) == len(distinct):
         return values, probs[order]
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.concatenate(([0], distinct.cumsum()))
@@ -392,6 +395,10 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
 #: the model caches one bracketed successor per atom, and a sweep reads them
 #: all (1001 x 41 x 15 is 615,615)
 MAX_SUCCESSOR_ATOMS = 10 ** 7
+#: largest ``grid_points * n_actions`` of a parametric model: the cost table,
+#: the successor cache and each sweep grow per (state, action) pair, about
+#: 900 bytes a cached pair (1001 x 41 is 41,041)
+MAX_SUCCESSOR_PAIRS = 10 ** 6
 
 
 def _check_shared_params(params):
@@ -411,6 +418,11 @@ def _check_shared_params(params):
         raise ValueError(
             "grid_points * n_actions * noise_atoms exceeds the budget of "
             f"{MAX_SUCCESSOR_ATOMS} successor atoms"
+        )
+    if params.grid_points * params.n_actions > MAX_SUCCESSOR_PAIRS:
+        raise ValueError(
+            "grid_points * n_actions exceeds the budget of "
+            f"{MAX_SUCCESSOR_PAIRS} (state, action) pairs"
         )
 
 

@@ -189,14 +189,20 @@ def scenario_tree_value(
 # exhaustive policy enumeration
 
 
-def _batch_avar(alpha: float, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """Tail-average risk of each row of ``outcomes`` under shared atom
-    probabilities, via direct tail-mass collection."""
+def _worst_first(probs: np.ndarray, outcomes: np.ndarray):
+    """Each row of ``outcomes`` and the shared atom probabilities, sorted
+    from worst to best value (ties in atom order)."""
     order = np.argsort(-outcomes, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(outcomes, order, axis=1)
     sorted_probs = np.take_along_axis(
         np.broadcast_to(probs, outcomes.shape), order, axis=1
     )
+    return sorted_vals, sorted_probs
+
+
+def _batch_avar(alpha: float, sorted_vals: np.ndarray, sorted_probs: np.ndarray) -> np.ndarray:
+    """Tail-average risk of each row of worst-first outcomes, via direct
+    tail-mass collection."""
     take = _tail_take(alpha, sorted_probs)
     return (sorted_vals * take).sum(axis=1) / (1.0 - alpha)
 
@@ -206,15 +212,17 @@ def _batch_risk(risk: RiskSpec, probs: np.ndarray, outcomes: np.ndarray) -> np.n
     if isinstance(risk, Expectation):
         return outcomes @ probs
     if isinstance(risk, AVaR):
-        return _batch_avar(risk.alpha, probs, outcomes)
+        return _batch_avar(risk.alpha, *_worst_first(probs, outcomes))
     if isinstance(risk, MeanDeviation):
         means = outcomes @ probs
         dev = np.abs(outcomes - means[:, None]) @ probs
         return means + risk.kappa * dev
     if isinstance(risk, KusuokaMixture):
+        # one sort serves every component: ``_tail_take`` leaves it intact
+        sorted_vals, sorted_probs = _worst_first(probs, outcomes)
         total = np.zeros(outcomes.shape[0])
         for alpha, weight in risk.components:
-            total += weight * _batch_avar(alpha, probs, outcomes)
+            total += weight * _batch_avar(alpha, sorted_vals, sorted_probs)
         return total
     raise TypeError(f"unknown risk specification: {risk!r}")
 

@@ -51,10 +51,18 @@ class DiscreteDistribution:
 
     Atoms need not be sorted or distinct; every probability must be strictly
     positive and the probabilities must sum to one within ``PROB_TOL``.
+    A distribution made by ``riskdp.model.successor_distribution`` has
+    sorted, distinct atoms in read-only arrays and carries a private marker
+    saying so; ``avar_primal`` then reads it worst first by reversing it,
+    where any other distribution is sorted.
     """
 
     values: np.ndarray
     probs: np.ndarray
+
+    #: True (set by ``_from_ascending``, not a field) when the read-only
+    #: values are strictly ascending
+    _ascending = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -65,13 +73,26 @@ class DiscreteDistribution:
             raise ValueError("values and probs must be 1-d arrays of equal length")
         if len(values) == 0:
             raise ValueError("distribution needs at least one atom")
-        if not np.isfinite(values).all():
+        # ``count_nonzero`` and ``np.add.reduce`` skip the Python-level
+        # ``ndarray.all``/``sum`` wrappers; ``>`` is False on a NaN
+        if np.count_nonzero(np.isfinite(values)) != len(values):
             raise ValueError("atom values must be finite")
-        if not (probs > 0.0).all():
+        if np.count_nonzero(probs > 0.0) != len(probs):
             raise ValueError("atom probabilities must be strictly positive")
-        total = float(probs.sum())
+        total = float(np.add.reduce(probs))
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
+
+    @classmethod
+    def _from_ascending(cls, values: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
+        """Distribution over strictly ascending float ``values``, marked as
+        such.  It takes the two arrays over and makes them read-only, so
+        the order the marker promises cannot go stale."""
+        values.setflags(write=False)
+        probs.setflags(write=False)
+        dist = cls(values, probs)
+        object.__setattr__(dist, "_ascending", True)
+        return dist
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[Tuple[float, float]]) -> "DiscreteDistribution":
@@ -221,10 +242,18 @@ def value_at_risk(p: float, dist: DiscreteDistribution) -> float:
 
 def _tail_take(alpha: float, sorted_probs: np.ndarray) -> np.ndarray:
     """Probability mass drawn from each atom (sorted worst first along the
-    last axis) when the worst ``1 - alpha`` tail is collected greedily."""
-    t = 1.0 - alpha
-    cum = sorted_probs.cumsum(axis=-1)
-    return np.minimum(np.maximum(t - (cum - sorted_probs), 0.0), sorted_probs)
+    last axis) when the worst ``1 - alpha`` tail is collected greedily.
+
+    This is ``min(max(t - (cum - p), 0), p)`` with ``t = 1 - alpha`` and
+    ``cum`` the running sum of ``p``, evaluated in one new buffer in that
+    order; ``sorted_probs`` is never written.
+    """
+    take = np.add.accumulate(sorted_probs, axis=-1)
+    np.subtract(take, sorted_probs, out=take)
+    np.subtract(1.0 - alpha, take, out=take)
+    np.maximum(take, 0.0, out=take)
+    np.minimum(take, sorted_probs, out=take)
+    return take
 
 
 def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
@@ -234,14 +263,21 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
     finite distribution is the exact stepwise integral: the worst outcomes
     are collected until ``1 - alpha`` probability is exhausted, splitting
     the boundary atom fractionally, and their probability-weighted average
-    is returned.  At ``alpha == 0`` this is the expectation.
+    is returned.  At ``alpha == 0`` this is the expectation.  Atoms known
+    to be ascending and distinct (see ``DiscreteDistribution``) are read
+    worst first in reverse; others are sorted, ties in input order.
     """
     _check_level(alpha)
     if alpha == 0.0:
         return float(dist.values @ dist.probs)
-    order = (-dist.values).argsort(kind="stable")
-    take = _tail_take(alpha, dist.probs[order])
-    return float(dist.values[order] @ take) / (1.0 - alpha)
+    if dist._ascending:
+        # contiguous copies: ``@`` on a negative-stride view sums in
+        # another order
+        values, probs = dist.values[::-1].copy(), dist.probs[::-1].copy()
+    else:
+        order = (-dist.values).argsort(kind="stable")
+        values, probs = dist.values[order], dist.probs[order]
+    return float(values @ _tail_take(alpha, probs)) / (1.0 - alpha)
 
 
 def avar_dual(alpha: float, dist: DiscreteDistribution) -> Tuple[float, DualDensity]:

@@ -163,6 +163,7 @@ def bellman_update(
     v_next = _check_value_function(model, v_next)
     n = model.n_states
     beta = model.discount
+    costs = model.cost_table.tolist()
     values = np.empty(n)
     rule = np.empty(n, dtype=int)
     for i in range(n):
@@ -170,7 +171,7 @@ def bellman_update(
         best_a = -1
         for a_idx in model.actions.indices_for(i):
             dist = successor_distribution(model, i, a_idx, v_next)
-            q = model.cost_at(i, a_idx) + beta * evaluate(risk, dist)
+            q = costs[i][a_idx] + beta * evaluate(risk, dist)
             if q < best_q:
                 best_q = q
                 best_a = a_idx
@@ -294,6 +295,7 @@ def evaluate_policy(
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     n = model.n_states
     beta = model.discount
+    costs = model.cost_table.tolist()
     w = np.zeros(n)
     for stage in range(horizon, -1, -1):
         rule = policy.rule(stage)
@@ -308,7 +310,7 @@ def evaluate_policy(
                     f"{a_idx} at state {i}"
                 )
             dist = successor_distribution(model, i, a_idx, w)
-            w_new[i] = model.cost_at(i, a_idx) + beta * evaluate(risk, dist)
+            w_new[i] = costs[i][a_idx] + beta * evaluate(risk, dist)
         w = w_new
     return w
 

@@ -244,6 +244,21 @@ def test_unreadable_config_text_exits_2(tmp_path, capsys, data):
             },
             "config.model.investment: grid_points * n_actions * noise_atoms exceeds",
         ),
+        # one noise atom passes the atom budget; the pair budget still holds
+        (
+            {"lq": dict(LQ_MODEL["lq"], grid_points=2 * 10 ** 5, n_actions=10, noise_atoms=1)},
+            "config.model.lq: grid_points * n_actions exceeds",
+        ),
+        (
+            {
+                "investment": {
+                    "mu": 0.05, "r": 0.0, "sigma": 0.2, "action_bound": 1.0,
+                    "wealth_lo": 0.0, "wealth_hi": 2.0,
+                    "grid_points": 10 ** 7, "n_actions": 1, "noise_atoms": 1,
+                }
+            },
+            "config.model.investment: grid_points * n_actions exceeds",
+        ),
         # growth factors that overflow would make zero wealth's successor NaN
         (
             {
@@ -258,7 +273,14 @@ def test_unreadable_config_text_exits_2(tmp_path, capsys, data):
         # the LQ stage-cost bound 2 x**2 + 2 sigma**2 cap overflows
         ({"lq": dict(LQ_MODEL["lq"], sigma=1e300)}, "config.model.lq: the stage-cost bound"),
     ],
-    ids=["lq-over-budget", "investment-over-budget", "growth-overflow", "cost-bound-overflow"],
+    ids=[
+        "lq-over-budget",
+        "investment-over-budget",
+        "lq-one-atom-over-pair-budget",
+        "investment-one-atom-over-pair-budget",
+        "growth-overflow",
+        "cost-bound-overflow",
+    ],
 )
 def test_model_out_of_budget_or_overflowing_exits_2(tmp_path, capsys, model, fragment):
     config = write_config(tmp_path, model=model)

@@ -315,15 +315,23 @@ def test_build_investment_rejects_negative_wealth_grid():
 
 
 def test_parametric_models_have_a_successor_atom_budget():
-    from riskdp.model import MAX_SUCCESSOR_ATOMS
+    from riskdp.model import MAX_SUCCESSOR_ATOMS, MAX_SUCCESSOR_PAIRS
 
     # the largest benchmark-scale config (1001 x 41 x 15) stays admitted
     LQParams(1.0, 2.0, -3.0, 3.0, 1001, 41, 15)
     assert 1001 * 41 * 15 <= MAX_SUCCESSOR_ATOMS
+    assert 1001 * 41 <= MAX_SUCCESSOR_PAIRS
     with pytest.raises(ValueError, match="successor atoms"):
         LQParams(1.0, 2.0, -3.0, 3.0, MAX_SUCCESSOR_ATOMS, 2, 1)
     with pytest.raises(ValueError, match="successor atoms"):
         InvestmentParams(0.05, 0.0, 0.2, 1.0, 0.0, 2.0, 10 ** 3, 10 ** 3, 11)
+    # one noise atom keeps the atom count low; the pair count still bounds
+    # the cost table, the successor cache and each sweep
+    LQParams(1.0, 2.0, -3.0, 3.0, MAX_SUCCESSOR_PAIRS, 1, 1)
+    with pytest.raises(ValueError, match=r"\(state, action\) pairs"):
+        LQParams(1.0, 2.0, -3.0, 3.0, MAX_SUCCESSOR_PAIRS, 2, 1)
+    with pytest.raises(ValueError, match=r"\(state, action\) pairs"):
+        InvestmentParams(0.05, 0.0, 0.2, 1.0, 0.0, 2.0, 10 ** 4, 10 ** 3, 1)
 
 
 def test_build_investment_rejects_an_overflowing_growth_factor():

@@ -195,6 +195,37 @@ def test_exhaustive_search_matches_per_rule_loop_on_lq_models(noise_atoms):
             assert policies == ref_policies
 
 
+def resorting_kusuoka(risk, probs, outcomes):
+    """Row-wise mixture value with every component sorting the rows again
+    and taking its tail with freshly allocated arrays."""
+    total = np.zeros(outcomes.shape[0])
+    for alpha, weight in risk.components:
+        order = np.argsort(-outcomes, axis=1, kind="stable")
+        values = np.take_along_axis(outcomes, order, axis=1)
+        sorted_probs = np.take_along_axis(np.broadcast_to(probs, outcomes.shape), order, axis=1)
+        cum = np.cumsum(sorted_probs, axis=1)
+        take = np.minimum(np.maximum((1.0 - alpha) - (cum - sorted_probs), 0.0), sorted_probs)
+        total += weight * ((values * take).sum(axis=1) / (1.0 - alpha))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    risks().filter(lambda risk: isinstance(risk, KusuokaMixture)),
+    st.integers(1, 7),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_kusuoka_sorts_once_for_every_component(risk, k, rows, seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.05, 1.0, size=k)
+    probs /= probs.sum()
+    # rounded outcomes tie, and ties must keep their atom order
+    outcomes = rng.uniform(0.0, 5.0, size=(rows, k)).round(rng.integers(0, 3))
+    got = _batch_risk(risk, probs, outcomes)
+    assert got.tobytes() == resorting_kusuoka(risk, probs, outcomes).tobytes()
+
+
 def test_vertex_masks_are_cached_and_read_only():
     for k in range(1, MAX_LP_ATOMS + 1):
         masks = _vertex_masks(k)

@@ -74,6 +74,36 @@ def test_distribution_rejects_bad_probabilities():
         DiscreteDistribution.from_atoms([(np.inf, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "values, probs, message",
+    [
+        ([0.0, np.nan], [0.5, 0.5], "atom values must be finite"),
+        ([np.inf, 0.0], [0.5, 0.5], "atom values must be finite"),
+        ([0.0, -np.inf], [0.5, 0.5], "atom values must be finite"),
+        ([0.0, 1.0], [np.nan, 1.0], "atom probabilities must be strictly positive"),
+        ([0.0, 1.0], [1.0, 0.0], "atom probabilities must be strictly positive"),
+        ([0.0, 1.0], [1.5, -0.5], "atom probabilities must be strictly positive"),
+        ([0.0, 1.0], [0.5, 0.5 + 2e-12], r"atom probabilities sum to 1\.000000000002, not 1"),
+        ([0.0, 1.0], [0.5, 0.5 - 2e-12], "atom probabilities sum to 0.99999999999"),
+        ([], [], "distribution needs at least one atom"),
+        ([[0.0]], [[1.0]], "values and probs must be 1-d arrays of equal length"),
+        ([0.0, 1.0], [1.0], "values and probs must be 1-d arrays of equal length"),
+    ],
+    ids=[
+        "nan-value", "inf-value", "minus-inf-value", "nan-prob", "zero-prob",
+        "negative-prob", "sum-high", "sum-low", "empty", "2-d", "lengths",
+    ],
+)
+def test_distribution_checks_each_input_with_its_message(values, probs, message):
+    with pytest.raises(ValueError, match=message):
+        DiscreteDistribution(np.array(values), np.array(probs))
+
+
+def test_distribution_accepts_a_sum_within_the_slack():
+    d = DiscreteDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5 + 5e-13]))
+    assert d.mean() == 0.5 + 5e-13
+
+
 def test_distribution_allows_duplicate_atoms():
     d = DiscreteDistribution.from_atoms([(5.0, 0.5), (5.0, 0.5)])
     assert len(d) == 2

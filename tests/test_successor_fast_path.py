@@ -1,7 +1,7 @@
 """Differential tests: the cached successor support and its grid bracket,
-the sort-and-mask atom merge and the ``np.minimum``/``np.maximum`` clamps
-against test-local copies of the straightforward forms they replace,
-compared bit for bit."""
+the sort-and-mask atom merge, the in-place tail take and the risk read of a
+successor distribution's sorted atoms against test-local copies of the
+straightforward forms they replace, compared bit for bit."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,14 @@ from riskdp.model import (
     interpolate,
     successor_distribution,
 )
-from riskdp.risk import AVaR, _tail_take
+from riskdp.risk import (
+    AVaR,
+    DiscreteDistribution,
+    KusuokaMixture,
+    _tail_take,
+    avar_primal,
+    evaluate,
+)
 from riskdp.solver import Policy, bellman_update, evaluate_policy
 
 
@@ -153,10 +160,10 @@ def test_successor_distribution_matches_reference(data):
         assert_same_as_reference(model, data.draw(value_functions(model.n_states)))
 
 
-def test_successor_distribution_matches_reference_at_the_edges():
+def edge_cases():
     """Fixed cases the random draws may miss: a 2-point grid with every
     successor clamped at one edge or the other, a single noise atom, and
-    wealth clamped at zero."""
+    wealth clamped at zero, each with flat, rising and falling values."""
     cases = [
         build_lq(LQParams(3.0, 2.0, -0.5, 0.5, 2, 3, 7), 0.5),
         build_lq(LQParams(1.0, 1.0, -2.0, 2.0, 5, 3, 1), 0.5),
@@ -166,7 +173,66 @@ def test_successor_distribution_matches_reference_at_the_edges():
         n = model.n_states
         ramp = np.arange(n, dtype=float)
         for v_next in (np.zeros(n), np.ones(n), ramp, ramp[::-1] * 0.5):
-            assert_same_as_reference(model, v_next)
+            yield model, v_next
+
+
+def test_successor_distribution_matches_reference_at_the_edges():
+    for model, v_next in edge_cases():
+        assert_same_as_reference(model, v_next)
+
+
+LEVELS = (0.0, 0.1, 0.7, 0.999)
+SPECS = [AVaR(alpha) for alpha in LEVELS] + [
+    KusuokaMixture(((0.0, 0.2), (0.5, 0.3), (0.9, 0.5))),
+    KusuokaMixture(((0.999, 1.0),)),
+]
+
+
+def reference_avar(alpha, dist):
+    """``avar_primal`` as a stable sort worst first, an allocating tail
+    take and ``@``."""
+    if alpha == 0.0:
+        return float(dist.values @ dist.probs)
+    order = (-dist.values).argsort(kind="stable")
+    values, probs = dist.values[order], dist.probs[order]
+    cum = np.cumsum(probs)
+    take = np.minimum(np.maximum((1.0 - alpha) - (cum - probs), 0.0), probs)
+    return float(values @ take) / (1.0 - alpha)
+
+
+def assert_sorted_read_as_unsorted(model, v_next):
+    """Every pair's successor distribution is read-only, and each risk
+    value of it equals, bit for bit, the same value of an unmarked copy,
+    which ``avar_primal`` sorts itself, and the tail average of the
+    straightforward form."""
+    for i in range(model.n_states):
+        for a_idx in model.actions.indices_for(i):
+            dist = successor_distribution(model, i, a_idx, v_next)
+            assert not dist.values.flags.writeable
+            assert not dist.probs.flags.writeable
+            plain = DiscreteDistribution(dist.values.copy(), dist.probs.copy())
+            assert not plain._ascending
+            for alpha in LEVELS:
+                value = avar_primal(alpha, dist)
+                assert value == avar_primal(alpha, plain) == reference_avar(alpha, plain)
+            for spec in SPECS:
+                assert evaluate(spec, dist) == evaluate(spec, plain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sorted_successors_read_as_an_unsorted_copy(data):
+    model = data.draw(models)
+    assert_sorted_read_as_unsorted(model, data.draw(value_functions(model.n_states)))
+
+
+def test_sorted_successors_read_as_an_unsorted_copy_at_the_edges():
+    for model, v_next in edge_cases():
+        assert_sorted_read_as_unsorted(model, v_next)
+    # the rounding a negative-stride ``@`` would show: seven
+    # spread-out atoms whose worst-first sum depends on the order
+    model = build_lq(LQParams(1.0, 2.0, -3.0, 3.0, 41, 9, 7), 0.6)
+    assert_sorted_read_as_unsorted(model, np.linspace(0.0, 3.0, 41) ** 3 + 0.1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,12 +362,16 @@ def test_each_dynamics_pair_is_bracketed_once_per_model(monkeypatch):
     st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12),
 )
 def test_tail_take_matches_clip_form(alpha, weights):
+    """The in-place tail take equals the allocating ``np.minimum``/
+    ``np.maximum`` form it replaced and the ``np.clip`` form, byte for
+    byte, on one row and on a batch of rows as the exhaustive search passes
+    it, and leaves its input unchanged."""
     probs = np.array(weights) / sum(weights)
-    cum = np.cumsum(probs)
-    expected = np.clip((1.0 - alpha) - (cum - probs), 0.0, probs)
-    assert _tail_take(alpha, probs).tobytes() == expected.tobytes()
-    # a batch of rows, as the exhaustive search passes it, row by row
-    batch = np.stack([probs, probs[::-1], np.roll(probs, 1)])
-    cum = np.cumsum(batch, axis=1)
-    expected = np.clip((1.0 - alpha) - (cum - batch), 0.0, batch)
-    assert _tail_take(alpha, batch).tobytes() == expected.tobytes()
+    for sorted_probs in (probs, np.stack([probs, probs[::-1], np.roll(probs, 1)])):
+        before = sorted_probs.copy()
+        cum = np.cumsum(sorted_probs, axis=-1)
+        old = np.minimum(np.maximum((1.0 - alpha) - (cum - sorted_probs), 0.0), sorted_probs)
+        clip = np.clip((1.0 - alpha) - (cum - sorted_probs), 0.0, sorted_probs)
+        got = _tail_take(alpha, sorted_probs)
+        assert got.tobytes() == old.tobytes() == clip.tobytes()
+        assert sorted_probs.tobytes() == before.tobytes()
