@@ -43,6 +43,10 @@ __all__ = [
 PROB_TOL = 1e-12
 #: dual densities must average to one within this slack
 DENSITY_MASS_TOL = 1e-9
+#: read-only 0-d zero for the per-pair hot path: numpy 2 converts a Python
+#: float operand on every call, which costs more than the work on a few atoms
+_ZERO = np.zeros(())
+_ZERO.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,10 @@ class DiscreteDistribution:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
+        if values is not self.values:
+            object.__setattr__(self, "values", values)
+        if probs is not self.probs:
+            object.__setattr__(self, "probs", probs)
         if values.ndim != 1 or probs.ndim != 1 or values.shape != probs.shape:
             raise ValueError("values and probs must be 1-d arrays of equal length")
         if len(values) == 0:
@@ -77,7 +83,7 @@ class DiscreteDistribution:
         # ``ndarray.all``/``sum`` wrappers; ``>`` is False on a NaN
         if np.count_nonzero(np.isfinite(values)) != len(values):
             raise ValueError("atom values must be finite")
-        if np.count_nonzero(probs > 0.0) != len(probs):
+        if np.count_nonzero(probs > _ZERO) != len(probs):
             raise ValueError("atom probabilities must be strictly positive")
         total = float(np.add.reduce(probs))
         if abs(total - 1.0) > PROB_TOL:
@@ -248,10 +254,12 @@ def _tail_take(alpha: float, sorted_probs: np.ndarray) -> np.ndarray:
     ``cum`` the running sum of ``p``, evaluated in one new buffer in that
     order; ``sorted_probs`` is never written.
     """
+    # ``subtract`` takes its output positionally, which numpy parses faster
+    # than ``out=``; ``maximum`` and ``minimum`` need the keyword
     take = np.add.accumulate(sorted_probs, axis=-1)
-    np.subtract(take, sorted_probs, out=take)
-    np.subtract(1.0 - alpha, take, out=take)
-    np.maximum(take, 0.0, out=take)
+    np.subtract(take, sorted_probs, take)
+    np.subtract(1.0 - alpha, take, take)
+    np.maximum(take, _ZERO, out=take)
     np.minimum(take, sorted_probs, out=take)
     return take
 
