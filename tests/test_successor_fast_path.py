@@ -229,8 +229,8 @@ def test_sorted_successors_read_as_an_unsorted_copy(data):
 def test_sorted_successors_read_as_an_unsorted_copy_at_the_edges():
     for model, v_next in edge_cases():
         assert_sorted_read_as_unsorted(model, v_next)
-    # the rounding a negative-stride ``@`` would show: seven
-    # spread-out atoms whose worst-first sum depends on the order
+    # seven spread-out atoms whose worst-first sum depends on the order, so
+    # ``@`` on a negative-stride view rounds differently
     model = build_lq(LQParams(1.0, 2.0, -3.0, 3.0, 41, 9, 7), 0.6)
     assert_sorted_read_as_unsorted(model, np.linspace(0.0, 3.0, 41) ** 3 + 0.1)
 
