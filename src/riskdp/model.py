@@ -302,8 +302,11 @@ class _GridQuery:
         # gathers several times slower than ``values[idx]``
         if values.ndim == 1:
             lo, hi = values[self.lo], values[self.hi]
-        else:
-            lo, hi = values[:, self.lo], values[:, self.hi]
+            out = lo + self.frac * (hi - lo)
+            if len(self.ends):
+                out[self.ends] = values[-1]
+            return out
+        lo, hi = values[:, self.lo], values[:, self.hi]
         out = lo + self.frac * (hi - lo)
         if len(self.ends):
             out[..., self.ends] = values[..., -1:]
@@ -378,17 +381,19 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
 
     Equal to ``np.unique(values, return_inverse=True)`` followed by
     ``np.bincount(inverse, weights=probs)``, bit for bit: distinct atoms
-    come back in sorted order untouched, and merged ones are summed by the
-    same ``bincount`` in input order.  Both returned arrays are new.
+    come back in sorted order untouched, and merged ones are summed by a
+    ``bincount`` over the sorted atoms.  The sort is stable, so each group's
+    atoms keep their input order and are added in the order the unsorted
+    ``bincount`` adds them.  Both returned arrays are new.
     """
     order = values.argsort(kind="stable")
     values = values[order]
+    probs = probs[order]
     distinct = values[1:] != values[:-1]
     if np.count_nonzero(distinct) == len(distinct):
-        return values, probs[order]
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.concatenate(([0], distinct.cumsum()))
-    return values[np.concatenate(([True], distinct))], np.bincount(inverse, weights=probs)
+        return values, probs
+    keep = np.concatenate(([True], distinct))
+    return values[keep], np.bincount(keep.cumsum() - 1, weights=probs)
 
 
 #: largest ``grid_points * n_actions * noise_atoms`` of a parametric model:

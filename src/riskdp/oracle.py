@@ -8,6 +8,10 @@ greedy construction, and the risk-neutral dynamic program recomputes
 expectations with its own interpolation.  Budgets are enforced loudly with
 ``BudgetExceededError``.
 
+The vertex enumeration still checks every vertex, but forms the candidates
+of all (vertex, fractional coordinate) pairs in one array pass instead of a
+loop over the coordinates.
+
 The exhaustive search still enumerates every sequence but evaluates each
 (state, action) column once per stage, then copies it to every rule's block.
 It reads the model's cached successors, as ``successor_distribution`` does;
@@ -193,11 +197,8 @@ def _worst_first(probs: np.ndarray, outcomes: np.ndarray):
     """Each row of ``outcomes`` and the shared atom probabilities, sorted
     from worst to best value (ties in atom order)."""
     order = np.argsort(-outcomes, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(outcomes, order, axis=1)
-    sorted_probs = np.take_along_axis(
-        np.broadcast_to(probs, outcomes.shape), order, axis=1
-    )
-    return sorted_vals, sorted_probs
+    rows = np.arange(outcomes.shape[0])[:, None]
+    return outcomes[rows, order], probs[order]
 
 
 def _batch_avar(alpha: float, sorted_vals: np.ndarray, sorted_probs: np.ndarray) -> np.ndarray:
@@ -238,6 +239,17 @@ def _successor_outcomes(
         return probs, tails[:, support]
     # C order, as stacked ``interpolate`` rows: ``@`` sums F order otherwise
     return probs, np.ascontiguousarray(support.read(tails))
+
+
+def _best_rows(tails: np.ndarray) -> np.ndarray:
+    """Per column of ``tails``, the first row holding its minimum (or its
+    first NaN), as ``tails.argmin(axis=0)``.
+
+    One strided argmin per column: on the 65536 x 4 tails of a depth-3
+    search over 4 states, that took about a third of the time of an argmin
+    over axis 0 or over a transposed copy.
+    """
+    return np.array([column.argmin() for column in tails.T], dtype=np.intp)
 
 
 def exhaustive_policy_search(
@@ -294,7 +306,7 @@ def exhaustive_policy_search(
                 )
         tails = grown
 
-    best_rows = tails.argmin(axis=0)
+    best_rows = _best_rows(tails)
     best_values = tails[best_rows, np.arange(n)]
 
     def rule_of(r: int) -> Tuple[int, ...]:
@@ -340,12 +352,23 @@ def _vertex_masks(k: int) -> np.ndarray:
     return masks
 
 
+@functools.lru_cache(maxsize=None)
+def _unsaturated(k: int) -> np.ndarray:
+    """Read-only ``_vertex_masks(k) == 0.0``: the coordinates each vertex
+    leaves free to take the fractional remainder."""
+    free = _vertex_masks(k) == 0.0
+    free.setflags(write=False)
+    return free
+
+
 def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 1.0) -> float:
     """Tail-average risk by enumerating the vertices of its dual polytope.
 
     Maximizes the reweighted expectation over densities bounded by
     ``1 / (1 - alpha)`` with unit mass, checking every saturated subset with
-    at most one fractional coordinate.  Limited to ``MAX_LP_ATOMS`` atoms.
+    at most one fractional coordinate: the exact-mass subsets, then every
+    feasible (subset, free coordinate) pair of the ``2**k x k`` grid in one
+    array pass.  Limited to ``MAX_LP_ATOMS`` atoms.
     ``cap_scale`` deliberately mis-scales the density bound and exists only
     as a fault-injection hook for the verification harness.
     """
@@ -367,15 +390,12 @@ def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 
     exact = np.abs(remainder) <= 1e-12
     if np.any(exact):
         best = float(base[exact].max())
-    for b in range(k):
-        feasible = (
-            (masks[:, b] == 0.0)
-            & (remainder > 1e-12)
-            & (remainder <= cap * probs[b] + 1e-12)
-        )
-        if np.any(feasible):
-            candidate = float((base[feasible] + remainder[feasible] * values[b]).max())
-            best = max(best, candidate)
+    # every (vertex, fractional coordinate) pair at once; candidates are
+    # formed only at the feasible ones
+    rem = remainder[:, None]
+    vertex, b = np.nonzero(_unsaturated(k) & (rem > 1e-12) & (rem <= cap * probs + 1e-12))
+    if len(vertex):
+        best = max(best, float((base[vertex] + remainder[vertex] * values[b]).max()))
     if not np.isfinite(best):
         raise RuntimeError("no feasible dual vertex found")
     return best

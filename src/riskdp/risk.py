@@ -373,7 +373,8 @@ def evaluate(spec: RiskSpec, dist: DiscreteDistribution) -> float:
     if isinstance(spec, MeanDeviation):
         return mean_deviation_primal(spec.kappa, dist)
     if isinstance(spec, KusuokaMixture):
-        return kusuoka_evaluate([spec.components], dist)
+        # ``__post_init__`` validated the components
+        return sum(w * avar_primal(a, dist) for a, w in spec.components)
     raise TypeError(f"unknown risk specification: {spec!r}")
 
 

@@ -1,7 +1,8 @@
 """Differential tests for the oracle layer's shared work: the exhaustive
 policy search, which computes each (state, action) column once per stage,
 against a test-local copy of the per-(rule, state) loop it replaces, and the
-dual vertex enumeration with its cached vertex masks."""
+dual vertex enumeration with its cached vertex masks against a test-local
+copy of its per-coordinate loop."""
 
 import itertools
 
@@ -23,7 +24,10 @@ from riskdp.model import (
 from riskdp.oracle import (
     MAX_LP_ATOMS,
     _batch_risk,
+    _best_rows,
+    _unsaturated,
     _vertex_masks,
+    _worst_first,
     avar_lp_oracle,
     exhaustive_policy_search,
 )
@@ -226,6 +230,48 @@ def test_batched_kusuoka_sorts_once_for_every_component(risk, k, rows, seed):
     assert got.tobytes() == resorting_kusuoka(risk, probs, outcomes).tobytes()
 
 
+def take_along_worst_first(probs, outcomes):
+    """Worst-first rows gathered by ``take_along_axis`` over broadcast
+    probabilities."""
+    order = np.argsort(-outcomes, axis=1, kind="stable")
+    sorted_probs = np.take_along_axis(np.broadcast_to(probs, outcomes.shape), order, axis=1)
+    return np.take_along_axis(outcomes, order, axis=1), sorted_probs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_worst_first_gathers_as_take_along_axis(k, rows, seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.05, 1.0, size=k)
+    probs /= probs.sum()
+    # rounded outcomes tie, and ties must keep their atom order
+    outcomes = rng.uniform(-5.0, 5.0, size=(rows, k)).round(rng.integers(0, 2))
+    got = _worst_first(probs, outcomes)
+    for array, expected in zip(got, take_along_worst_first(probs, outcomes)):
+        assert array.flags.c_contiguous
+        assert array.shape == expected.shape
+        assert array.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_best_rows_take_the_first_minimum_as_argmin(rows, n, seed, with_nan):
+    rng = np.random.default_rng(seed)
+    # few distinct values, so most columns hold their minimum more than once
+    tails = rng.integers(0, 4, size=(rows, n)).astype(float)
+    if with_nan:
+        column = rng.integers(n)
+        tails[rng.integers(rows, size=2), column] = np.nan
+    best = _best_rows(tails)
+    assert best.dtype == np.intp
+    assert np.array_equal(best, tails.argmin(axis=0))
+
+
+def test_best_rows_pick_the_first_nan_of_a_column():
+    tails = np.array([[3.0, 1.0], [np.nan, 0.0], [0.0, 0.0], [np.nan, 2.0]])
+    assert _best_rows(tails).tolist() == [1, 1]
+
+
 def test_vertex_masks_are_cached_and_read_only():
     for k in range(1, MAX_LP_ATOMS + 1):
         masks = _vertex_masks(k)
@@ -235,6 +281,98 @@ def test_vertex_masks_are_cached_and_read_only():
             masks[0, 0] = 1.0
         expected = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
         assert np.array_equal(masks, expected)
+        free = _unsaturated(k)
+        assert free is _unsaturated(k)
+        assert not free.flags.writeable
+        assert np.array_equal(free, expected == 0.0)
+
+
+def per_coordinate_lp(alpha, dist, cap_scale):
+    """The dual vertex enumeration with one pass over the vertices per
+    fractional coordinate."""
+    k = len(dist)
+    cap = cap_scale / (1.0 - alpha)
+    probs, values = dist.probs, dist.values
+    masks = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+    mass = cap * (masks @ probs)
+    base = cap * (masks @ (probs * values))
+    remainder = 1.0 - mass
+    best = -np.inf
+    exact = np.abs(remainder) <= 1e-12
+    if np.any(exact):
+        best = float(base[exact].max())
+    for b in range(k):
+        feasible = (
+            (masks[:, b] == 0.0)
+            & (remainder > 1e-12)
+            & (remainder <= cap * probs[b] + 1e-12)
+        )
+        if np.any(feasible):
+            candidate = float((base[feasible] + remainder[feasible] * values[b]).max())
+            best = max(best, candidate)
+    if not np.isfinite(best):
+        raise RuntimeError("no feasible dual vertex found")
+    return best
+
+
+@st.composite
+def lp_cases(draw):
+    k = draw(st.integers(1, MAX_LP_ATOMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # equal weights put whole vertices on unit mass, the exact branch
+        probs = np.full(k, 1.0 / k)
+    else:
+        probs = rng.uniform(0.05, 1.0, size=k)
+        probs /= probs.sum()
+    # rounded values tie; some atoms are exactly zero
+    values = rng.uniform(-10.0, 10.0, size=k).round(draw(st.integers(0, 2)))
+    values[rng.random(k) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    alpha = draw(st.sampled_from([0.0, 0.5, 0.999]) | st.floats(0.0, 0.999))
+    cap_scale = draw(st.sampled_from([0.75, 1.0, 2.0]))
+    return alpha, DiscreteDistribution(values, probs), cap_scale
+
+
+def outcome(oracle, *args):
+    try:
+        return oracle(*args)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_cases())
+def test_lp_oracle_matches_per_coordinate_loop(case):
+    got = outcome(avar_lp_oracle, *case)
+    expected = outcome(per_coordinate_lp, *case)
+    assert type(got) is type(expected)
+    assert got == expected
+
+
+@pytest.mark.parametrize("k", range(1, MAX_LP_ATOMS + 1))
+def test_lp_oracle_matches_per_coordinate_loop_for_every_atom_count(k):
+    rng = np.random.default_rng(k)
+    dists = [
+        DiscreteDistribution(rng.uniform(-10.0, 10.0, size=k), np.full(k, 1.0 / k)),
+        # ties and zeros under unequal weights
+        DiscreteDistribution(
+            rng.integers(-2, 3, size=k).astype(float), rng.dirichlet(np.ones(k))
+        ),
+        DiscreteDistribution(np.zeros(k), rng.dirichlet(np.ones(k))),
+    ]
+    for dist in dists:
+        for alpha in (0.0, 0.5, 0.999):
+            for cap_scale in (0.75, 1.0, 2.0):
+                case = (alpha, dist, cap_scale)
+                assert outcome(avar_lp_oracle, *case) == outcome(per_coordinate_lp, *case)
+
+
+def test_lp_oracle_raises_where_the_loop_finds_no_vertex():
+    """A density capped at 0.75 cannot reach unit mass: both routes raise."""
+    dist = DiscreteDistribution(np.array([1.0, 2.0, 0.0]), np.array([0.2, 0.5, 0.3]))
+    for oracle in (avar_lp_oracle, per_coordinate_lp):
+        with pytest.raises(RuntimeError, match="no feasible dual vertex found"):
+            oracle(0.0, dist, 0.75)
 
 
 def test_lp_oracle_matches_primal_for_every_atom_count():

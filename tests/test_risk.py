@@ -402,6 +402,22 @@ def test_property_kusuoka_point_mass_is_tail_average(atom_list, alpha):
 
 
 @settings(max_examples=200, deadline=None)
+@given(
+    atoms_strategy(),
+    st.lists(st.tuples(levels, st.floats(0.1, 1.0)), min_size=1, max_size=4),
+)
+def test_property_mixture_evaluates_as_its_one_member_family(atom_list, parts):
+    """``evaluate`` sums a validated mixture's components directly; the
+    raw-family route re-validates them and must give the same float."""
+    d = build(atom_list)
+    weights = np.array([w for _, w in parts])
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    mix = KusuokaMixture(tuple(zip([a for a, _ in parts], weights.tolist())))
+    assert evaluate(mix, d) == kusuoka_evaluate([mix.components], d)
+
+
+@settings(max_examples=200, deadline=None)
 @given(atoms_strategy())
 def test_property_value_at_risk_step_function(atom_list):
     d = build(atom_list)
