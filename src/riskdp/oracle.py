@@ -391,7 +391,7 @@ def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 
     if np.any(exact):
         best = float(base[exact].max())
     # every (vertex, fractional coordinate) pair at once; candidates are
-    # formed only at the feasible ones
+    # formed only at the feasible ones, so an infeasible pair cannot overflow
     rem = remainder[:, None]
     vertex, b = np.nonzero(_unsaturated(k) & (rem > 1e-12) & (rem <= cap * probs + 1e-12))
     if len(vertex):

@@ -34,6 +34,9 @@ def linprog_dual(alpha, dist, cap_scale=1.0):
         b_eq=[1.0],
         bounds=[(0.0, cap)] * len(dist),
         method="highs",
+        # HiGHS's default 1e-7 lets a density exceed the cap by that much:
+        # at alpha 1e-9 it returned 9 * cap for a single atom at 9
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if result.status == 2:
         return None

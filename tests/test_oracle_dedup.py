@@ -367,14 +367,6 @@ def test_lp_oracle_matches_per_coordinate_loop_for_every_atom_count(k):
                 assert outcome(avar_lp_oracle, *case) == outcome(per_coordinate_lp, *case)
 
 
-def test_lp_oracle_raises_where_the_loop_finds_no_vertex():
-    """A density capped at 0.75 cannot reach unit mass: both routes raise."""
-    dist = DiscreteDistribution(np.array([1.0, 2.0, 0.0]), np.array([0.2, 0.5, 0.3]))
-    for oracle in (avar_lp_oracle, per_coordinate_lp):
-        with pytest.raises(RuntimeError, match="no feasible dual vertex found"):
-            oracle(0.0, dist, 0.75)
-
-
 def test_lp_oracle_matches_primal_for_every_atom_count():
     rng = np.random.default_rng(31)
     for k in range(1, MAX_LP_ATOMS + 1):
