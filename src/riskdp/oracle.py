@@ -234,11 +234,14 @@ def _successor_outcomes(
     """Atom probabilities of one pair's cached successors and, per row of
     ``tails``, the values they read: the kernel row's support for a tabular
     model, the cached grid bracket ``interpolate`` reads for dynamics."""
-    support, probs = model._successor_support(state_index, action_index)
+    support = model._successor_support(state_index, action_index)
     if isinstance(model.transition, Tabular):
-        return probs, tails[:, support]
-    # C order, as stacked ``interpolate`` rows: ``@`` sums F order otherwise
-    return probs, np.ascontiguousarray(support.read(tails))
+        indices, probs = support
+        return probs, tails[:, indices]
+    query, probs, inverse, _ = support
+    # every atom, in C order as stacked ``interpolate`` rows: ``@`` sums
+    # F order otherwise
+    return probs, np.ascontiguousarray(query.read(tails)[:, inverse])
 
 
 def _best_rows(tails: np.ndarray) -> np.ndarray:

@@ -75,29 +75,22 @@ class DiscreteDistribution:
             object.__setattr__(self, "values", values)
         if probs is not self.probs:
             object.__setattr__(self, "probs", probs)
-        if values.ndim != 1 or probs.ndim != 1 or values.shape != probs.shape:
-            raise ValueError("values and probs must be 1-d arrays of equal length")
-        if len(values) == 0:
-            raise ValueError("distribution needs at least one atom")
-        # ``count_nonzero`` and ``np.add.reduce`` skip the Python-level
-        # ``ndarray.all``/``sum`` wrappers; ``>`` is False on a NaN
-        if np.count_nonzero(np.isfinite(values)) != len(values):
-            raise ValueError("atom values must be finite")
-        if np.count_nonzero(probs > _ZERO) != len(probs):
-            raise ValueError("atom probabilities must be strictly positive")
-        total = float(np.add.reduce(probs))
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"atom probabilities sum to {total!r}, not 1")
+        _check_atoms(values, probs)
 
     @classmethod
     def _from_ascending(cls, values: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
         """Distribution over strictly ascending float ``values``, marked as
-        such.  It takes the two arrays over and makes them read-only, so
-        the order the marker promises cannot go stale."""
+        such.  It runs ``__post_init__``'s checks on the two arrays and
+        takes them over without the dataclass ``__init__``, making them
+        read-only, so the order the marker promises cannot go stale."""
+        _check_atoms(values, probs)
         values.setflags(write=False)
         probs.setflags(write=False)
-        dist = cls(values, probs)
-        object.__setattr__(dist, "_ascending", True)
+        dist = object.__new__(cls)
+        fields = dist.__dict__
+        fields["values"] = values
+        fields["probs"] = probs
+        fields["_ascending"] = True
         return dist
 
     @classmethod
@@ -120,6 +113,24 @@ class DiscreteDistribution:
 
     def mean(self) -> float:
         return float(self.values @ self.probs)
+
+
+def _check_atoms(values: np.ndarray, probs: np.ndarray):
+    """The checks every ``DiscreteDistribution`` passes, on its float
+    arrays."""
+    if values.ndim != 1 or probs.ndim != 1 or values.shape != probs.shape:
+        raise ValueError("values and probs must be 1-d arrays of equal length")
+    if len(values) == 0:
+        raise ValueError("distribution needs at least one atom")
+    # ``count_nonzero`` and ``np.add.reduce`` skip the Python-level
+    # ``ndarray.all``/``sum`` wrappers; ``>`` is False on a NaN
+    if np.count_nonzero(np.isfinite(values)) != len(values):
+        raise ValueError("atom values must be finite")
+    if np.count_nonzero(probs > _ZERO) != len(probs):
+        raise ValueError("atom probabilities must be strictly positive")
+    total = float(np.add.reduce(probs))
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValueError(f"atom probabilities sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -279,9 +290,10 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
     if alpha == 0.0:
         return float(dist.values @ dist.probs)
     if dist._ascending:
-        # contiguous copies: ``@`` on a negative-stride view sums in
+        # the tail take reads a reversed view into a new buffer; ``@`` needs
+        # a contiguous copy, since on a negative-stride view it sums in
         # another order
-        values, probs = dist.values[::-1].copy(), dist.probs[::-1].copy()
+        values, probs = dist.values[::-1].copy(), dist.probs[::-1]
     else:
         order = (-dist.values).argsort(kind="stable")
         values, probs = dist.values[order], dist.probs[order]
@@ -356,7 +368,8 @@ def kusuoka_evaluate(
         components = tuple((float(a), float(w)) for a, w in mixture)
         _check_mixture(components)
         value = sum(w * avar_primal(a, dist) for a, w in components)
-        best = max(best, value)
+        # ``np.maximum`` keeps a NaN member, which Python's ``max`` drops
+        best = np.maximum(best, value)
     return float(best)
 
 

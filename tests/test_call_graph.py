@@ -78,6 +78,11 @@ def test_traced_counts_follow_the_benchmark_identities(tmp_path):
     assert layer["model.successor_calls"] == pairs
     assert layer["model.interpolate_calls"] == layer["model.successor_calls"]
     assert layer["risk.avar_primal_calls"] == layer["risk.evaluate_calls"] == pairs
+    # every noise atom enters the merge, and the risk kernel sees what it
+    # returns: a merge that drops or double-counts atoms fails here
+    noise_atoms = json.loads(config.read_text())["model"]["lq"]["noise_atoms"]
+    assert layer["model.atoms_in"] == pairs * noise_atoms
+    assert layer["risk.atoms"] == layer["model.atoms_out"]
     # the model table names its builders, so the tracer still sees them
     names = [span[2] for span in tracer.spans]
     assert names.count("model.build_lq") == names.count("cli.build_model") == 2

@@ -5,6 +5,8 @@ and mean-deviation values by stepwise quantile integration, independently of
 the numpy implementation; frozen expected values below were produced by it.
 """
 
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -415,6 +417,22 @@ def test_property_mixture_evaluates_as_its_one_member_family(atom_list, parts):
     weights[-1] = 1.0 - weights[:-1].sum()
     mix = KusuokaMixture(tuple(zip([a for a, _ in parts], weights.tolist())))
     assert evaluate(mix, d) == kusuoka_evaluate([mix.components], d)
+
+
+def test_a_nan_mixture_member_makes_the_family_nan():
+    """Two atoms at the largest float, with probabilities summing to one
+    within the slack, make the level-0 tail average overflow to inf, so the
+    mixture ((0, 0.0), (0.5, 1.0)) is ``0 * inf + ...``, NaN.  The family's
+    maximum is NaN wherever that member stands, not the -inf that Python's
+    ``max`` left after dropping it."""
+    big = sys.float_info.max
+    d = DiscreteDistribution(np.array([big, big]), np.array([0.5 + 4e-13, 0.5 + 4e-13]))
+    mix = KusuokaMixture(((0.0, 0.0), (0.5, 1.0)))
+    assert math.isnan(evaluate(mix, d))
+    assert math.isnan(kusuoka_evaluate([mix.components], d))
+    assert avar_primal(0.5, d) == big
+    for family in ([[(0.5, 1.0)], mix.components], [mix.components, [(0.5, 1.0)]]):
+        assert math.isnan(kusuoka_evaluate(family, d))
 
 
 @settings(max_examples=200, deadline=None)

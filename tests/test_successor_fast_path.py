@@ -1,7 +1,10 @@
 """Differential tests: the cached successor support and its grid bracket,
-the sort-and-mask atom merge, the in-place tail take and the risk read of a
+the per-pair merge of distinct successor states and its fallback on chance
+ties, the sort-and-mask atom merge, the in-place tail take and the risk read of a
 successor distribution's sorted atoms against test-local copies of the
 straightforward forms they replace, compared bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,9 +14,11 @@ from hypothesis import strategies as st
 from riskdp import model as model_module
 from riskdp.model import (
     ActionSet,
+    Dynamics,
     InvestmentParams,
     LQParams,
     MarkovModel,
+    NoiseModel,
     StateGrid,
     Tabular,
     build_investment,
@@ -50,6 +55,11 @@ def fresh_successors(model, i, a_idx):
     return np.array(
         [model.clamp(model.transition.next_state(x, a, float(xi))) for xi in noise.values]
     )
+
+
+def count_distinct_states(succ):
+    """Number of bit-distinct successor states: 0.0 and -0.0 count twice."""
+    return len({x.tobytes() for x in succ})
 
 
 def reference_successors(model, i, a_idx, v_next):
@@ -235,6 +245,134 @@ def test_sorted_successors_read_as_an_unsorted_copy_at_the_edges():
     assert_sorted_read_as_unsorted(model, np.linspace(0.0, 3.0, 41) ** 3 + 0.1)
 
 
+def parent_successors(model, i, a_idx, v_next):
+    """The merge as it ran before distinct successor states were cached:
+    every noise atom read, then ``_merge_atoms``."""
+    values = clip_interpolate(model.grid.points, v_next, fresh_successors(model, i, a_idx))
+    return model_module._merge_atoms(values, model.transition.noise.dist.probs)
+
+
+def assert_chance_ties_merge_as_reference(model, v_next):
+    for i in range(model.n_states):
+        for a_idx in model.actions.indices_for(i):
+            dist = successor_distribution(model, i, a_idx, v_next)
+            values, probs = reference_successors(model, i, a_idx, v_next)
+            assert np.array_equal(dist.values, values)
+            assert np.array_equal(dist.probs, probs)
+            values, probs = parent_successors(model, i, a_idx, v_next)
+            assert dist.values.tobytes() == values.tobytes()
+            assert dist.probs.tobytes() == probs.tobytes()
+
+
+@st.composite
+def tie_models(draw):
+    """Small models whose distinct successor states often read equal
+    values: LQ and investment models on 2 to 4 grid points, and user
+    dynamics with unequal, sometimes repeated noise atoms and a transition
+    map that is not monotone in the noise."""
+    kind = draw(st.sampled_from(["lq", "investment", "user"]))
+    grid_points = draw(st.integers(2, 4))
+    noise_atoms = draw(st.integers(1, 7))
+    if kind == "lq":
+        half = draw(st.floats(0.25, 3.0))
+        return build_lq(
+            LQParams(
+                draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 2.0)), -half, half,
+                grid_points, draw(st.integers(1, 4)), noise_atoms,
+            ),
+            0.5,
+        )
+    if kind == "investment":
+        return build_investment(
+            InvestmentParams(
+                draw(st.floats(-0.2, 0.3)), draw(st.floats(0.0, 0.1)),
+                draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 2.0)),
+                0.0, draw(st.floats(0.5, 3.0)), grid_points,
+                draw(st.integers(1, 4)), noise_atoms,
+            ),
+            0.9,
+        )
+    xi = draw(
+        st.lists(
+            st.sampled_from([-1.5, -1.0, -0.0, 0.0, 1.0, 1.5]) | st.floats(-2.0, 2.0),
+            min_size=noise_atoms,
+            max_size=noise_atoms,
+        )
+    )
+    weights = np.array(
+        draw(st.lists(st.floats(0.05, 1.0), min_size=noise_atoms, max_size=noise_atoms))
+    )
+    noise = NoiseModel(DiscreteDistribution(np.array(xi), weights / weights.sum()))
+    scale = draw(st.floats(0.0, 2.0))
+    shape = draw(st.sampled_from(["parabola", "signed", "wave"]))
+
+    def next_state(x, a, xi):
+        if shape == "parabola":  # +xi and -xi reach the same state
+            return x + a - scale * xi * xi
+        if shape == "signed":  # mirrored states, 0.0 and -0.0 among them
+            return math.copysign(scale * x + a, xi)
+        return x + a + scale * math.sin(3.0 * xi)
+
+    half = draw(st.floats(0.25, 2.0))
+    return MarkovModel(
+        StateGrid(np.linspace(-half, half, grid_points)),
+        ActionSet(np.linspace(-1.0, 1.0, draw(st.integers(1, 3)))),
+        Dynamics(next_state, noise),
+        lambda x, a: x * x,
+        0.5,
+    )
+
+
+@st.composite
+def tied_value_functions(draw, n):
+    """Zero, constant or mirror-symmetric values on ``n`` grid points."""
+    kind = draw(st.sampled_from(["zero", "constant", "mirror"]))
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, draw(st.floats(0.0, 50.0)))
+    raw = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n)))
+    return raw + raw[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chance_ties_merge_as_the_reference_does(data):
+    """Where distinct successor states read equal values, the distribution
+    still equals the from-scratch reference and, byte for byte, the merge
+    of every atom that ran before the distinct states were cached."""
+    model = data.draw(tie_models())
+    assert_chance_ties_merge_as_reference(model, data.draw(tied_value_functions(model.n_states)))
+
+
+def test_chance_ties_sum_in_atom_order(monkeypatch):
+    """On a 2-point grid with six equally likely atoms, every successor
+    clamps to one end or the other, so each pair has two distinct states
+    of three atoms each.  Where they read equal values, the two group
+    probabilities would sum to 1.0, and the atoms summed in their own order
+    give the reference's 0.9999999999999999: such reads fall back to
+    merging every atom, and reads without a chance tie do not."""
+    model = build_lq(LQParams(5.0, 0.0, -0.5, 0.5, 2, 1, 6), 0.5)
+    for v_next in (np.zeros(2), np.array([0.0, 1.0])):
+        assert_chance_ties_merge_as_reference(model, v_next)
+    merged = []
+    merge = model_module._merge_atoms
+
+    def recording_merge(values, probs):
+        merged.append(len(values))
+        return merge(values, probs)
+
+    monkeypatch.setattr(model_module, "_merge_atoms", recording_merge)
+    for i in range(2):
+        group_probs = model._successor_support(i, 0)[3]
+        assert group_probs.tolist() == [0.5, 0.5]
+        dist = successor_distribution(model, i, 0, np.array([0.0, 1.0]))
+        assert dist.probs.tolist() == [0.5, 0.5]
+        dist = successor_distribution(model, i, 0, np.zeros(2))
+        assert dist.probs.tolist() == [0.9999999999999999]
+    assert merged == [6, 6]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_successor_cache_is_per_model(data):
@@ -294,19 +432,23 @@ def test_interpolate_matches_clip_form(points, xs, data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_cached_bracket_reads_as_interpolate_does(data):
-    """Each pair's cached bracket, read through ``interpolate``, equals
-    public ``interpolate`` of the freshly computed successor states and the
-    ``np.clip`` form, byte for byte; a stack of value vectors reads as its
-    rows do."""
+    """Each pair's cached bracket of its distinct successor states, read
+    through ``interpolate`` and expanded to every noise atom by
+    ``inverse``, equals public ``interpolate`` of the freshly computed
+    successor states and the ``np.clip`` form, byte for byte; the group
+    probabilities are the atom probabilities summed by ``inverse``, and a
+    stack of value vectors reads as its rows do."""
     model = data.draw(st.one_of(lq_models(), investment_models()))
     points = model.grid.points
     rows = np.stack([data.draw(value_functions(model.n_states)) for _ in range(3)])
     for i in range(model.n_states):
         for a_idx in model.actions.indices_for(i):
-            query, _ = model._successor_support(i, a_idx)
+            query, probs, inverse, group_probs = model._successor_support(i, a_idx)
             succ = fresh_successors(model, i, a_idx)
+            assert len(query.frac) == len(group_probs) == count_distinct_states(succ)
+            assert group_probs.tobytes() == np.bincount(inverse, weights=probs).tobytes()
             for v_next in rows:
-                got = interpolate(model.grid, v_next, query)
+                got = interpolate(model.grid, v_next, query)[inverse]
                 assert got.tobytes() == interpolate(model.grid, v_next, succ).tobytes()
                 assert got.tobytes() == clip_interpolate(points, v_next, succ).tobytes()
             stacked = np.ascontiguousarray(query.read(rows))
@@ -331,14 +473,15 @@ def test_bracket_reads_the_grid_edges_and_interior_grid_points_exactly():
 def test_a_bracket_reads_only_the_grid_it_was_made_on():
     first = build_lq(LQParams(1.0, 1.0, -1.0, 1.0, 5, 3, 3), 0.5)
     second = build_lq(LQParams(1.0, 1.0, -2.0, 2.0, 5, 3, 3), 0.5)
-    query, _ = first._successor_support(0, 0)
+    query = first._successor_support(0, 0)[0]
     with pytest.raises(ValueError, match="another grid"):
         interpolate(second.grid, np.zeros(5), query)
 
 
 def test_each_dynamics_pair_is_bracketed_once_per_model(monkeypatch):
     """Two Bellman sweeps and a policy evaluation bracket each (state,
-    action) pair once, when its successors are first cached."""
+    action) pair once, when its successors are first cached, on the pair's
+    distinct successor states."""
     model = build_lq(LQParams(1.0, 2.0, -3.0, 3.0, 9, 5, 5), 0.5)
     calls = []
     bracket = model_module._bracket
@@ -352,8 +495,15 @@ def test_each_dynamics_pair_is_bracketed_once_per_model(monkeypatch):
     v, _ = bellman_update(model, risk, np.zeros(model.n_states))
     v, rule = bellman_update(model, risk, v)
     evaluate_policy(model, risk, Policy.stationary(rule), 3)
+    distinct = [
+        count_distinct_states(fresh_successors(model, i, a_idx))
+        for i in range(model.n_states)
+        for a_idx in range(model.n_actions)
+    ]
     assert len(calls) == model.n_states * model.n_actions
-    assert set(calls) == {5}
+    assert sorted(calls) == sorted(distinct)
+    # successors clamped at the grid ends merge; the interior ones do not
+    assert min(calls) < 5 == max(calls)
 
 
 @settings(max_examples=200, deadline=None)
