@@ -1,8 +1,8 @@
 """Differential tests: the cached successor support and its grid bracket,
 the per-pair merge of distinct successor states and its fallback on chance
-ties, the sort-and-mask atom merge, the in-place tail take and the risk read of a
-successor distribution's sorted atoms against test-local copies of the
-straightforward forms they replace, compared bit for bit."""
+ties, the sort-and-mask atom merge, the in-place tail take and the risk
+read of a successor distribution's sorted atoms against test-local copies
+of the straightforward forms they replace, compared bit for bit."""
 
 import math
 
@@ -245,9 +245,9 @@ def test_sorted_successors_read_as_an_unsorted_copy_at_the_edges():
     assert_sorted_read_as_unsorted(model, np.linspace(0.0, 3.0, 41) ** 3 + 0.1)
 
 
-def parent_successors(model, i, a_idx, v_next):
-    """The merge as it ran before distinct successor states were cached:
-    every noise atom read, then ``_merge_atoms``."""
+def every_atom_successors(model, i, a_idx, v_next):
+    """Every noise atom's value, read by the ``np.clip`` form and merged by
+    ``_merge_atoms``."""
     values = clip_interpolate(model.grid.points, v_next, fresh_successors(model, i, a_idx))
     return model_module._merge_atoms(values, model.transition.noise.dist.probs)
 
@@ -259,7 +259,7 @@ def assert_chance_ties_merge_as_reference(model, v_next):
             values, probs = reference_successors(model, i, a_idx, v_next)
             assert np.array_equal(dist.values, values)
             assert np.array_equal(dist.probs, probs)
-            values, probs = parent_successors(model, i, a_idx, v_next)
+            values, probs = every_atom_successors(model, i, a_idx, v_next)
             assert dist.values.tobytes() == values.tobytes()
             assert dist.probs.tobytes() == probs.tobytes()
 
@@ -339,8 +339,8 @@ def tied_value_functions(draw, n):
 @given(st.data())
 def test_chance_ties_merge_as_the_reference_does(data):
     """Where distinct successor states read equal values, the distribution
-    still equals the from-scratch reference and, byte for byte, the merge
-    of every atom that ran before the distinct states were cached."""
+    still equals the from-scratch reference and, byte for byte,
+    ``_merge_atoms`` over every atom's value."""
     model = data.draw(tie_models())
     assert_chance_ties_merge_as_reference(model, data.draw(tied_value_functions(model.n_states)))
 
