@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .risk import DiscreteDistribution
+from .risk import DiscreteDistribution, _check_probs
 
 __all__ = [
     "StateGrid",
@@ -192,6 +192,9 @@ class MarkovModel:
         if not (0.0 < self.discount < 1.0):
             raise ValueError(f"discount must lie in (0, 1), got {self.discount!r}")
         n, m = len(self.grid), len(self.actions)
+        # read on every successor read: a plain attribute, not a property
+        # through ``StateGrid.__len__``
+        self._n_states = n
         if self.actions.admissible is not None and len(self.actions.admissible) != n:
             raise ValueError("admissibility table length must match the grid")
         if isinstance(self.transition, Tabular):
@@ -231,7 +234,7 @@ class MarkovModel:
 
     @property
     def n_states(self) -> int:
-        return len(self.grid)
+        return self._n_states
 
     @property
     def n_actions(self) -> int:
@@ -261,6 +264,7 @@ class MarkovModel:
                 row = self.transition.kernel[state_index, action_index]
                 mask = row > 0.0
                 indices, probs = np.flatnonzero(mask), row[mask]
+                _check_probs(probs)
                 indices.setflags(write=False)
                 probs.setflags(write=False)
                 support = (indices, probs)
@@ -283,6 +287,7 @@ class MarkovModel:
                 else:
                     # one atom a state: ``bincount``'s ``0.0 + p`` is ``p``
                     inverse, group_probs = self._atom_index, self._noise_probs
+                _check_probs(group_probs)
                 query = _bracket(self.grid.points, succ)
                 support = (query, self._noise_probs, inverse, group_probs)
             self._successors[key] = support
@@ -399,7 +404,7 @@ def successor_distribution(
     chance tie), the values already read are expanded to every atom and
     handed to ``_merge_atoms``, with nothing read again.
     """
-    n = model.n_states
+    n = model._n_states
     if not (0 <= state_index < n):
         raise ValueError(f"state index {state_index} out of range")
     if action_index not in model.actions.indices_for(state_index):
@@ -419,7 +424,9 @@ def successor_distribution(
     values = interpolate(model.grid, v_next, query)
     order = values.argsort()
     ascending = values[order]
-    if np.count_nonzero(ascending[1:] != ascending[:-1]) == len(ascending) - 1:
+    # a set of Python floats keeps NaNs apart and merges 0.0 with -0.0, as
+    # ``!=`` on adjacent sorted values does, and builds faster on a few atoms
+    if len(set(ascending.tolist())) == len(ascending):
         return DiscreteDistribution._from_ascending(ascending, group_probs[order])
     # a chance tie: distinct successor states read equal values
     return DiscreteDistribution._from_ascending(*_merge_atoms(values[inverse], probs))
@@ -442,10 +449,11 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
     order = values.argsort(kind="stable")
     values = values[order]
     probs = probs[order]
-    distinct = values[1:] != values[:-1]
-    if np.count_nonzero(distinct) == len(distinct):
+    # as in ``successor_distribution``: a set keeps NaNs apart and merges
+    # 0.0 with -0.0, as ``!=`` on adjacent sorted values does
+    if len(set(values.tolist())) == len(values):
         return values, probs
-    keep = np.concatenate(([True], distinct))
+    keep = np.concatenate(([True], values[1:] != values[:-1]))
     return values[keep], np.bincount(keep.cumsum() - 1, weights=probs)
 
 

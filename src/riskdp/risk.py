@@ -16,7 +16,9 @@ density.  The independent check of both is the vertex-enumeration LP in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,10 +82,22 @@ class DiscreteDistribution:
     @classmethod
     def _from_ascending(cls, values: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
         """Distribution over strictly ascending float ``values``, marked as
-        such.  It runs ``__post_init__``'s checks on the two arrays and
-        takes them over without the dataclass ``__init__``, making them
-        read-only, so the order the marker promises cannot go stale."""
-        _check_atoms(values, probs)
+        such, taking the two arrays over without the dataclass ``__init__``
+        and making them read-only, so the order the marker promises cannot
+        go stale.
+
+        Only the values are checked here, and only at their two ends: a
+        sorted float array has any ``-inf`` first and any ``+inf`` or NaN
+        last.  The caller, ``riskdp.model.successor_distribution``, checked
+        the probabilities with ``_check_probs`` once, when the pair's
+        successors were cached.  Each call's ``probs`` are those checked
+        probabilities permuted, or sums of subsets of them added in atom
+        order: every one stays strictly positive, and their total differs
+        from the checked total only by the rounding of a reordered sum, a
+        few ulps, far inside ``PROB_TOL``.
+        """
+        if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+            raise ValueError("atom values must be finite")
         values.setflags(write=False)
         probs.setflags(write=False)
         dist = object.__new__(cls)
@@ -117,15 +131,27 @@ class DiscreteDistribution:
 
 def _check_atoms(values: np.ndarray, probs: np.ndarray):
     """The checks every ``DiscreteDistribution`` passes, on its float
-    arrays."""
+    arrays: their shapes, then ``_check_values`` and ``_check_probs``."""
     if values.ndim != 1 or probs.ndim != 1 or values.shape != probs.shape:
         raise ValueError("values and probs must be 1-d arrays of equal length")
     if len(values) == 0:
         raise ValueError("distribution needs at least one atom")
-    # ``count_nonzero`` and ``np.add.reduce`` skip the Python-level
-    # ``ndarray.all``/``sum`` wrappers; ``>`` is False on a NaN
+    _check_values(values)
+    _check_probs(probs)
+
+
+def _check_values(values: np.ndarray):
+    """Every atom value is finite."""
+    # ``count_nonzero`` skips the Python-level ``ndarray.all`` wrapper
     if np.count_nonzero(np.isfinite(values)) != len(values):
         raise ValueError("atom values must be finite")
+
+
+def _check_probs(probs: np.ndarray):
+    """Every probability is strictly positive (``>`` is False on a NaN) and
+    they sum to one within ``PROB_TOL``.  A model runs it once per cached
+    (state, action) pair on the probabilities its successor distributions
+    are made of."""
     if np.count_nonzero(probs > _ZERO) != len(probs):
         raise ValueError("atom probabilities must be strictly positive")
     total = float(np.add.reduce(probs))
@@ -275,6 +301,37 @@ def _tail_take(alpha: float, sorted_probs: np.ndarray) -> np.ndarray:
     return take
 
 
+#: probability vectors of at most this many atoms have their tail takes
+#: cached by ``_cached_tail_take``
+TAIL_TAKE_CACHE_ATOMS = 64
+#: number of (level, probability vector) tail takes ``_cached_tail_take``
+#: keeps, least recently used dropped first
+TAIL_TAKE_CACHE_SIZE = 1024
+
+
+# ``typed``: a level of another float type equal in value to a cached one
+# may round ``1 - alpha`` differently, so it gets its own entry
+@functools.lru_cache(maxsize=TAIL_TAKE_CACHE_SIZE, typed=True)
+def _cached_tail_take(alpha: float, sorted_probs: bytes) -> np.ndarray:
+    """``_tail_take`` of the float64 vector whose bytes are
+    ``sorted_probs``, read-only, remembered per (level, bytes).
+
+    The take depends on the level and the worst-first probabilities only,
+    never on the values, and a solve sees few distinct probability vectors
+    (13 in a cold ``lq-solve`` solve of 21,566 pairs), so ``avar_primal``
+    reads it here.  A hit returns the array the one ``_tail_take`` computed
+    for the same bits, so results are bit-identical by construction.
+    Memory: at most ``TAIL_TAKE_CACHE_SIZE`` entries of at most
+    ``TAIL_TAKE_CACHE_ATOMS`` atoms, each holding the key's bytes and the
+    take (16 bytes an atom) and about 300 bytes of objects: measured with
+    tracemalloc, 435 bytes an entry at 7 atoms and 1,298 at 64, so a full
+    cache holds at most about 1.3 MB.
+    """
+    take = _tail_take(alpha, np.frombuffer(sorted_probs))
+    take.setflags(write=False)
+    return take
+
+
 def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
     """Tail-average risk via the quantile integral.
 
@@ -284,20 +341,25 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
     the boundary atom fractionally, and their probability-weighted average
     is returned.  At ``alpha == 0`` this is the expectation.  Atoms known
     to be ascending and distinct (see ``DiscreteDistribution``) are read
-    worst first in reverse; others are sorted, ties in input order.
+    worst first in reverse; others are sorted, ties in input order.  The
+    tail take of up to ``TAIL_TAKE_CACHE_ATOMS`` worst-first probabilities
+    is read from ``_cached_tail_take``.
     """
     _check_level(alpha)
     if alpha == 0.0:
         return float(dist.values @ dist.probs)
     if dist._ascending:
-        # the tail take reads a reversed view into a new buffer; ``@`` needs
-        # a contiguous copy, since on a negative-stride view it sums in
-        # another order
+        # ``@`` needs a contiguous copy, since on a negative-stride view it
+        # sums in another order
         values, probs = dist.values[::-1].copy(), dist.probs[::-1]
     else:
         order = (-dist.values).argsort(kind="stable")
         values, probs = dist.values[order], dist.probs[order]
-    return float(values @ _tail_take(alpha, probs)) / (1.0 - alpha)
+    if len(probs) <= TAIL_TAKE_CACHE_ATOMS:
+        take = _cached_tail_take(alpha, probs.tobytes())
+    else:
+        take = _tail_take(alpha, probs)
+    return float(values @ take) / (1.0 - alpha)
 
 
 def avar_dual(alpha: float, dist: DiscreteDistribution) -> Tuple[float, DualDensity]:
