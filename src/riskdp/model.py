@@ -178,8 +178,12 @@ class MarkovModel:
     grid indices of the kernel row's support with their probabilities.  The
     transition map, the grouping and the bracketing then run once per pair
     per model, and a sweep only reads the grid values of the distinct
-    states through the cached bracket.  The cached arrays and the grid
-    points are read-only.
+    states through the cached bracket.  The cached probabilities a pair's
+    successor distributions are made of (the group probabilities, or the
+    kernel row's) are checked once, when the pair is cached, with the
+    checks every ``DiscreteDistribution`` runs; each read then checks only
+    that its values are finite.  The cached arrays and the grid points are
+    read-only.
     """
 
     grid: StateGrid
@@ -256,7 +260,8 @@ class MarkovModel:
         successor states, the noise probabilities, the distinct state each
         noise atom reaches (``query`` reads atom ``j`` at ``inverse[j]``)
         and the summed probability of each distinct state, added in atom
-        order by ``np.bincount``."""
+        order by ``np.bincount``.  Caching a pair checks those summed
+        probabilities, or the kernel row's, with ``_check_probs``."""
         key = (state_index, action_index)
         support = self._successors.get(key)
         if support is None:
@@ -449,8 +454,7 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
     order = values.argsort(kind="stable")
     values = values[order]
     probs = probs[order]
-    # as in ``successor_distribution``: a set keeps NaNs apart and merges
-    # 0.0 with -0.0, as ``!=`` on adjacent sorted values does
+    # ``successor_distribution``'s distinctness test
     if len(set(values.tolist())) == len(values):
         return values, probs
     keep = np.concatenate(([True], values[1:] != values[:-1]))

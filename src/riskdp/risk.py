@@ -8,10 +8,11 @@ maximum over a finite family of tail-average mixtures.  All functionals
 interpret larger values as worse outcomes (costs).
 
 The tail-average primal and dual share one greedy tail take (``_tail_take``,
-also used batched by the oracle's exhaustive search); the dual's value is
-the expectation under the density it returns, so checking it checks that
-density.  The independent check of both is the vertex-enumeration LP in
-``riskdp.oracle``.
+also used batched by the oracle's exhaustive search); the primal reads it
+through a bounded cache per (level, worst-first probabilities).  The dual's
+value is the expectation under the density it returns, so checking it
+checks that density.  The independent check of both is the
+vertex-enumeration LP in ``riskdp.oracle``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Differential tests: the cached successor support and its grid bracket,
 the per-pair merge of distinct successor states and its fallback on chance
-ties, the sort-and-mask atom merge, the in-place tail take and the risk
-read of a successor distribution's sorted atoms against test-local copies
-of the straightforward forms they replace, compared bit for bit."""
+ties, the sort-and-mask atom merge, the in-place tail take, its cache, and
+the risk read of a successor distribution's sorted atoms against test-local
+copies of the straightforward forms they replace, compared bit for bit;
+the finiteness check at the ends of a pair's sorted values; and how often
+a solve checks probabilities and computes tail takes."""
 
 import math
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskdp import model as model_module
+from riskdp import risk as risk_module
 from riskdp.model import (
     ActionSet,
     Dynamics,
@@ -23,6 +26,7 @@ from riskdp.model import (
     Tabular,
     build_investment,
     build_lq,
+    build_tabular,
     interpolate,
     successor_distribution,
 )
@@ -34,7 +38,7 @@ from riskdp.risk import (
     avar_primal,
     evaluate,
 )
-from riskdp.solver import Policy, bellman_update, evaluate_policy
+from riskdp.solver import Policy, backward_induct, bellman_update, evaluate_policy, value_iterate
 
 
 def clip_interpolate(points, values, xs):
@@ -373,6 +377,27 @@ def test_chance_ties_sum_in_atom_order(monkeypatch):
     assert merged == [6, 6]
 
 
+def test_signed_zeros_read_as_one_atom():
+    """0.0 and -0.0 are one value to the merge, as to ``np.unique``: a
+    tabular row and a dynamics pair whose two successor states read the
+    two zeros give one atom, equal to the reference's bit for bit."""
+    tabular = build_tabular(np.full((3, 1, 3), 1.0 / 3.0), np.ones((3, 1)), 0.5)
+    noise = NoiseModel(DiscreteDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5])))
+    dynamics = MarkovModel(
+        StateGrid(np.arange(-2.0, 3.0)),
+        ActionSet(np.zeros(1)),
+        Dynamics(lambda x, a, xi: x + xi, noise),
+        lambda x, a: 0.0,
+        0.5,
+    )
+    v_next = np.array([0.0, -0.0, 2.0])
+    assert_same_as_reference(tabular, v_next)
+    assert successor_distribution(tabular, 0, 0, v_next).values.tolist() == [0.0, 2.0]
+    v_next = np.array([5.0, 0.0, 3.0, -0.0, 5.0])
+    assert_chance_ties_merge_as_reference(dynamics, v_next)
+    assert successor_distribution(dynamics, 2, 0, v_next).probs.tolist() == [1.0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_successor_cache_is_per_model(data):
@@ -525,3 +550,172 @@ def test_tail_take_matches_clip_form(alpha, weights):
         got = _tail_take(alpha, sorted_probs)
         assert got.tobytes() == old.tobytes() == clip.tobytes()
         assert sorted_probs.tobytes() == before.tobytes()
+
+
+def sorted_read(model, i, a_idx, v_next):
+    """One pair's successor values, read by the test-local forms and
+    sorted (NaN last)."""
+    if isinstance(model.transition, Tabular):
+        return np.sort(v_next[model.transition.kernel[i, a_idx] > 0.0])
+    with np.errstate(invalid="ignore"):
+        succ = fresh_successors(model, i, a_idx)
+        return np.sort(clip_interpolate(model.grid.points, v_next, succ))
+
+
+def finiteness_cases():
+    """Every pair of a dense tabular model and of an LQ model whose pairs
+    reach interior successors only, or clamp some at a grid end, with one
+    grid value set to -inf, +inf or NaN: yields the model's kind, whether
+    the bad grid point is interior, the pair, ``v_next`` and the pair's
+    sorted read."""
+    rng = np.random.default_rng(3)
+    tabular = build_tabular(rng.dirichlet(np.ones(4), size=(4, 2)), np.ones((4, 2)), 0.5)
+    # grid -3..3, actions -1, 0, 1, successors x + a + {-1.84, 0, 1.84}
+    lq = build_lq(LQParams(1.5, 1.0, -3.0, 3.0, 7, 3, 3), 0.5)
+    points = lq.grid.points
+    for model in (tabular, lq):
+        n = model.n_states
+        for bad in (-np.inf, np.inf, np.nan):
+            for j in range(n):
+                v_next = np.arange(n, dtype=float)
+                v_next[j] = bad
+                for i in range(n):
+                    for a_idx in model.actions.indices_for(i):
+                        if model is tabular:
+                            kind = "tabular"
+                        else:
+                            succ = fresh_successors(lq, i, a_idx)
+                            clamped = np.any((succ == points[0]) | (succ == points[-1]))
+                            kind = "clamped-edge" if clamped else "interior"
+                        read = sorted_read(model, i, a_idx, v_next)
+                        yield kind, 0 < j < n - 1, (model, i, a_idx, v_next), read
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_non_finite_read_is_caught_at_either_end_of_the_sorted_values():
+    """A pair's sorted values hold any -inf first and any +inf or NaN last,
+    and ``_from_ascending`` reads only those two ends.  Every pair that
+    reads a non-finite value is rejected with the value message; each kind
+    of pair is seen with -inf first and +inf and NaN last while its other
+    end is finite, and with the bad value at an interior grid point."""
+    seen = set()
+    for kind, interior, args, read in finiteness_cases():
+        if np.isfinite(read).all():
+            successor_distribution(*args)
+            continue
+        with pytest.raises(ValueError, match="atom values must be finite"):
+            successor_distribution(*args)
+        if not np.isfinite(read[0]) and np.isfinite(read[-1]):
+            seen.add((kind, interior, "first", str(read[0])))
+        if np.isfinite(read[0]) and not np.isfinite(read[-1]):
+            seen.add((kind, interior, "last", str(read[-1])))
+    for end, bad in (("first", "-inf"), ("last", "inf"), ("last", "nan")):
+        for kind in ("tabular", "interior", "clamped-edge"):
+            assert (kind, True, end, bad) in seen
+        # and with the bad value at a grid end
+        assert ("clamped-edge", False, end, bad) in seen
+
+
+def uncached_evaluate(spec, dist):
+    """``evaluate`` of an AVaR or Kusuoka spec through ``reference_avar``,
+    which computes every tail take afresh."""
+    if isinstance(spec, AVaR):
+        return reference_avar(spec.alpha, dist)
+    return sum(w * reference_avar(a, dist) for a, w in spec.components)
+
+
+def assert_cached_takes_as_uncached(dist):
+    """The cached take of the distribution's worst-first probabilities is
+    read-only and byte-equal to ``_tail_take`` at every level, and the
+    risk values equal the uncached route's; levels alternate on one
+    probability vector, so a take cached under another level shows."""
+    if dist._ascending:
+        worst_first = dist.probs[::-1]
+    else:
+        worst_first = dist.probs[(-dist.values).argsort(kind="stable")]
+    for alpha in LEVELS:
+        take = risk_module._cached_tail_take(alpha, worst_first.tobytes())
+        assert not take.flags.writeable
+        assert take.tobytes() == _tail_take(alpha, worst_first).tobytes()
+        assert avar_primal(alpha, dist) == reference_avar(alpha, dist)
+    for spec in SPECS:
+        assert evaluate(spec, dist) == uncached_evaluate(spec, dist)
+
+
+@st.composite
+def tied_distributions(draw):
+    """1 to 80 atoms (beyond ``TAIL_TAKE_CACHE_ATOMS``), with values and
+    probabilities that often tie."""
+    k = draw(st.integers(1, 80))
+    values = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 50.0)
+    values = np.array(draw(st.lists(values, min_size=k, max_size=k)))
+    weights = st.sampled_from([1.0, 1.0, 2.0, 3.0])
+    weights = np.array(draw(st.lists(weights, min_size=k, max_size=k)))
+    return DiscreteDistribution(values, weights / weights.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cached_tail_takes_read_as_uncached(data):
+    """Successor distributions of model pairs, merged and not, with equal
+    or unequal noise weights, and plain distributions with tied
+    probabilities, each risk value bit for bit as without the cache."""
+    if data.draw(st.booleans()):
+        assert_cached_takes_as_uncached(data.draw(tied_distributions()))
+        return
+    model = data.draw(st.one_of(lq_models(), tie_models(), tabular_models()))
+    v_next = data.draw(value_functions(model.n_states))
+    for i in range(model.n_states):
+        for a_idx in model.actions.indices_for(i):
+            assert_cached_takes_as_uncached(successor_distribution(model, i, a_idx, v_next))
+
+
+def test_cached_tail_takes_read_as_uncached_on_merged_and_unmerged_pairs():
+    """On the 9 x 5 x 5 LQ model, whose end states merge, at flat and
+    rising values."""
+    model = build_lq(LQParams(1.0, 2.0, -3.0, 3.0, 9, 5, 5), 0.5)
+    groups = set()
+    for i in range(model.n_states):
+        for a_idx in range(model.n_actions):
+            groups.add(len(model._successor_support(i, a_idx)[3]))
+            for v_next in (np.zeros(9), np.linspace(0.0, 4.0, 9) ** 2):
+                assert_cached_takes_as_uncached(successor_distribution(model, i, a_idx, v_next))
+    assert min(groups) < 5 == max(groups)
+
+
+def test_each_pair_checks_its_probabilities_once_and_tail_takes_are_shared(monkeypatch):
+    """Solving the 9 x 5 x 5 LQ model checks each pair's probabilities once,
+    when its successors are cached, and computes each distinct (level,
+    worst-first probabilities) tail take once, far fewer times than the
+    risk reads it."""
+    model = build_lq(LQParams(1.0, 2.0, -3.0, 3.0, 9, 5, 5), 0.5)
+    checked, computed, requested = [], [], []
+    check_probs = risk_module._check_probs
+    tail_take = risk_module._tail_take
+    cached_tail_take = risk_module._cached_tail_take
+
+    def counting_check(probs):
+        checked.append(len(probs))
+        return check_probs(probs)
+
+    def counting_take(alpha, sorted_probs):
+        computed.append((alpha, sorted_probs.tobytes()))
+        return tail_take(alpha, sorted_probs)
+
+    def recording_cached_take(alpha, key):
+        requested.append((alpha, key))
+        return cached_tail_take(alpha, key)
+
+    monkeypatch.setattr(risk_module, "_check_probs", counting_check)
+    monkeypatch.setattr(model_module, "_check_probs", counting_check)
+    monkeypatch.setattr(risk_module, "_tail_take", counting_take)
+    monkeypatch.setattr(risk_module, "_cached_tail_take", recording_cached_take)
+    cached_tail_take.cache_clear()
+    risk = AVaR(0.7)
+    report = value_iterate(model, risk, 1e-6, 200)
+    backward_induct(model, risk, 3)
+    pairs = model.n_states * model.n_actions
+    assert len(checked) == len(model._successors) == pairs
+    assert sorted(computed) == sorted(set(requested))
+    assert len(requested) == pairs * (report.sweeps + 4)
+    assert 20 * len(computed) < len(requested)
