@@ -12,9 +12,11 @@ The vertex enumeration still checks every vertex, but forms the candidates
 of all (vertex, fractional coordinate) pairs in one array pass instead of a
 loop over the coordinates.
 
-The exhaustive search still enumerates every sequence but evaluates each
+The exhaustive search still covers every sequence but evaluates each
 (state, action) column once per stage, then copies it to every rule's block.
-It reads the model's cached successors, as ``successor_distribution`` does;
+Stage 0 is folded into a per-state argmin over those columns instead of a
+stored table, so the largest table it holds is the ``R**depth x n`` tails of
+stage 1 (``R`` rules per stage).  It reads the model's cached successors, as ``successor_distribution`` does;
 the scenario tree and the risk-neutral dynamic program keep their own
 successor code, so the search's scenario-tree spot-check stays a second
 route.
@@ -244,15 +246,22 @@ def _successor_outcomes(
     return probs, np.ascontiguousarray(query.read(tails)[:, inverse])
 
 
-def _best_rows(tails: np.ndarray) -> np.ndarray:
-    """Per column of ``tails``, the first row holding its minimum (or its
-    first NaN), as ``tails.argmin(axis=0)``.
+def _first_best_row(block: np.ndarray, after: int) -> Tuple[int, float]:
+    """The row of the stage-0 table that ``argmin(axis=0)`` picks in one
+    state's column, and its value, from that state's ``(choices, tails)``
+    block of column values; ``after`` is the number of rules of the states
+    after it.
 
-    One strided argmin per column: on the 65536 x 4 tails of a depth-3
-    search over 4 states, that took about a third of the time of an argmin
-    over axis 0 or over a transposed copy.
+    Row ``(r, t)`` of the table is stage rule ``r`` ahead of tail ``t``, and
+    the state's column depends on ``r`` only through the state's own digit.
+    So the first row holding the column's minimum (or its first NaN) has
+    every other digit 0: its digit and tail are the first argmin of the
+    block.
     """
-    return np.array([column.argmin() for column in tails.T], dtype=np.intp)
+    t_count = block.shape[1]
+    flat = int(block.argmin())
+    digit, t = divmod(flat, t_count)
+    return digit * after * t_count + t, float(block.flat[flat])
 
 
 def exhaustive_policy_search(
@@ -261,10 +270,15 @@ def exhaustive_policy_search(
     """Minimum nested value over every Markov stage-policy sequence.
 
     All ``R**(depth + 1)`` sequences (``R`` decision rules per stage) are
-    evaluated by a backward recursion batched over policy tails, which
-    computes exactly the per-policy nested value; the winning value per
-    initial state is optionally re-derived through ``scenario_tree_value``
-    as a cross-check.  Returns the pointwise-minimal values and, per initial
+    covered by a backward recursion batched over policy tails, which
+    computes exactly the per-policy nested value.  Stages ``depth`` to 1
+    are stored as a table of ``R**depth x n`` tail values at most; stage 0
+    is folded into one argmin per initial state over the ``(actions,
+    tails)`` block of its column values, which picks the sequence
+    ``argmin(axis=0)`` of the full ``R**(depth + 1) x n`` table would, ties
+    and the first NaN included.  The winning value per initial state is
+    optionally re-derived through ``scenario_tree_value`` as a
+    cross-check.  Returns the pointwise-minimal values and, per initial
     state, the minimizing sequence of stage rules.  The sequence budget is
     checked before any rule is built, so an oversized model raises
     ``BudgetExceededError`` at once.
@@ -288,13 +302,18 @@ def exhaustive_policy_search(
         )
     beta = model.discount
 
+    def column(tails: np.ndarray, i: int, a_idx: int) -> np.ndarray:
+        """Value at state ``i`` of taking ``a_idx`` ahead of each tail."""
+        probs, outcomes = _successor_outcomes(model, tails, i, a_idx)
+        return model.cost_at(i, a_idx) + beta * _batch_risk(risk, probs, outcomes)
+
     # tails[t] is the value vector of one policy-tail; peeling stages from
-    # the last to the first multiplies the tail count by n_rules each time.
+    # the last to stage 1 multiplies the tail count by n_rules each time.
     # Column i of a rule's block depends on the rule only through its
     # action at state i, so each (state, action) column is computed once
     # per stage and copied into the blocks of every rule choosing it.
     tails = np.zeros((1, n))
-    for stage in range(depth, -1, -1):
+    for stage in range(depth, 0, -1):
         t_count = tails.shape[0]
         grown = np.empty((n_rules * t_count, n))
         for i in range(n):
@@ -303,14 +322,17 @@ def exhaustive_policy_search(
             # tail, state); the copies below fill grown in place
             blocks = grown.reshape(before, sizes[i], after, t_count, n)
             for d, a_idx in enumerate(choices[i]):
-                probs, outcomes = _successor_outcomes(model, tails, i, a_idx)
-                blocks[:, d, :, :, i] = model.cost_at(i, a_idx) + beta * _batch_risk(
-                    risk, probs, outcomes
-                )
+                blocks[:, d, :, :, i] = column(tails, i, a_idx)
         tails = grown
 
-    best_rows = _best_rows(tails)
-    best_values = tails[best_rows, np.arange(n)]
+    # stage 0 is never stored: each state's column values, one row per
+    # admissible action, give its best row directly
+    best_rows = []
+    best_values = np.empty(n)
+    for i in range(n):
+        block = np.array([column(tails, i, a_idx) for a_idx in choices[i]])
+        row, best_values[i] = _first_best_row(block, math.prod(sizes[i + 1 :]))
+        best_rows.append(row)
 
     def rule_of(r: int) -> Tuple[int, ...]:
         rule = [0] * n
@@ -328,7 +350,7 @@ def exhaustive_policy_search(
         digits.reverse()
         return tuple(rule_of(d) for d in digits)
 
-    best_policies = [decode(int(row)) for row in best_rows]
+    best_policies = [decode(row) for row in best_rows]
 
     if spot_check:
         for i in range(n):

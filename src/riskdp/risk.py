@@ -13,6 +13,11 @@ through a bounded cache per (level, worst-first probabilities).  The dual's
 value is the expectation under the density it returns, so checking it
 checks that density.  The independent check of both is the
 vertex-enumeration LP in ``riskdp.oracle``.
+
+One-dimensional dot products are taken with ``ndarray.dot`` rather than
+``@``: both run the same BLAS ddot, with bit-equal results on contiguous and
+positive-stride vectors, but ``@`` pays matmul's dispatch, about three times
+the per-call cost of ``.dot`` on a few atoms (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -99,8 +104,10 @@ class DiscreteDistribution:
         """
         if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
             raise ValueError("atom values must be finite")
-        values.setflags(write=False)
-        probs.setflags(write=False)
+        # ``setflags`` takes ``write`` positionally, which numpy parses in
+        # well under half the time of the keyword
+        values.setflags(False)
+        probs.setflags(False)
         dist = object.__new__(cls)
         fields = dist.__dict__
         fields["values"] = values
@@ -127,7 +134,7 @@ class DiscreteDistribution:
         return len(self.values)
 
     def mean(self) -> float:
-        return float(self.values @ self.probs)
+        return float(self.values.dot(self.probs))
 
 
 def _check_atoms(values: np.ndarray, probs: np.ndarray):
@@ -176,18 +183,19 @@ class DualDensity:
         object.__setattr__(self, "weights", weights)
         if weights.ndim != 1:
             raise ValueError("weights must be a 1-d array")
-        if not np.all(np.isfinite(weights)):
+        # ``count_nonzero`` skips the Python-level ``all``/``any`` wrappers
+        if np.count_nonzero(np.isfinite(weights)) != len(weights):
             raise ValueError("weights must be finite")
-        if np.any(weights < -1e-15):
+        if np.count_nonzero(weights < -1e-15):
             raise ValueError("weights must be nonnegative")
 
     def mass(self, dist: DiscreteDistribution) -> float:
         """Total reweighted probability mass against ``dist``."""
-        return float(self.weights @ dist.probs)
+        return float(self.weights.dot(dist.probs))
 
     def expectation(self, dist: DiscreteDistribution) -> float:
         """Expectation of the atom values under the reweighted probabilities."""
-        return float((self.weights * dist.probs) @ dist.values)
+        return float((self.weights * dist.probs).dot(dist.values))
 
 
 class RiskSpec:
@@ -329,7 +337,7 @@ def _cached_tail_take(alpha: float, sorted_probs: bytes) -> np.ndarray:
     cache holds at most about 1.3 MB.
     """
     take = _tail_take(alpha, np.frombuffer(sorted_probs))
-    take.setflags(write=False)
+    take.setflags(False)
     return take
 
 
@@ -348,10 +356,10 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
     """
     _check_level(alpha)
     if alpha == 0.0:
-        return float(dist.values @ dist.probs)
+        return float(dist.values.dot(dist.probs))
     if dist._ascending:
-        # ``@`` needs a contiguous copy, since on a negative-stride view it
-        # sums in another order
+        # a contiguous copy, so the sum runs in the order of a sorted one:
+        # the dot product of a negative-stride view need not
         values, probs = dist.values[::-1].copy(), dist.probs[::-1]
     else:
         order = (-dist.values).argsort(kind="stable")
@@ -360,7 +368,7 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
         take = _cached_tail_take(alpha, probs.tobytes())
     else:
         take = _tail_take(alpha, probs)
-    return float(values @ take) / (1.0 - alpha)
+    return float(values.dot(take)) / (1.0 - alpha)
 
 
 def avar_dual(alpha: float, dist: DiscreteDistribution) -> Tuple[float, DualDensity]:
@@ -390,8 +398,8 @@ def mean_deviation_primal(kappa: float, dist: DiscreteDistribution) -> float:
     monotone.
     """
     _check_kappa(kappa)
-    mean = float(dist.values @ dist.probs)
-    dev = float(np.abs(dist.values - mean) @ dist.probs)
+    mean = float(dist.values.dot(dist.probs))
+    dev = float(np.abs(dist.values - mean).dot(dist.probs))
     return mean + kappa * dev
 
 
@@ -404,9 +412,9 @@ def mean_deviation_dual(kappa: float, dist: DiscreteDistribution) -> Tuple[float
     the atoms of ``dist``.
     """
     _check_kappa(kappa)
-    mean = float(dist.values @ dist.probs)
+    mean = float(dist.values.dot(dist.probs))
     h = kappa * np.sign(dist.values - mean)
-    weights = 1.0 + h - float(h @ dist.probs)
+    weights = 1.0 + h - float(h.dot(dist.probs))
     density = DualDensity(weights)
     return density.expectation(dist), density
 
@@ -443,7 +451,7 @@ def evaluate(spec: RiskSpec, dist: DiscreteDistribution) -> float:
     probability-weighted mean, the mixture kind evaluates its single mixture.
     """
     if isinstance(spec, Expectation):
-        return float(dist.values @ dist.probs)
+        return float(dist.values.dot(dist.probs))
     if isinstance(spec, AVaR):
         return avar_primal(spec.alpha, dist)
     if isinstance(spec, MeanDeviation):

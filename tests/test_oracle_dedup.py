@@ -5,6 +5,7 @@ dual vertex enumeration with its cached vertex masks against a test-local
 copy of its per-coordinate loop."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from riskdp.model import (
 from riskdp.oracle import (
     MAX_LP_ATOMS,
     _batch_risk,
-    _best_rows,
+    _first_best_row,
     _unsaturated,
     _vertex_masks,
     _worst_first,
@@ -253,23 +254,90 @@ def test_worst_first_gathers_as_take_along_axis(k, rows, seed):
         assert array.tobytes() == expected.tobytes()
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 300), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
-def test_best_rows_take_the_first_minimum_as_argmin(rows, n, seed, with_nan):
-    rng = np.random.default_rng(seed)
-    # few distinct values, so most columns hold their minimum more than once
-    tails = rng.integers(0, 4, size=(rows, n)).astype(float)
-    if with_nan:
-        column = rng.integers(n)
-        tails[rng.integers(rows, size=2), column] = np.nan
-    best = _best_rows(tails)
-    assert best.dtype == np.intp
-    assert np.array_equal(best, tails.argmin(axis=0))
+def stage0_table(blocks, t_count):
+    """The stage-0 table the search no longer stores: row ``(r, t)`` holds
+    rule ``r`` (state 0's digit most significant) ahead of tail ``t``, and
+    column ``i`` reads state ``i``'s ``(choices, tails)`` block at ``r``'s
+    digit ``i``."""
+    sizes = [len(block) for block in blocks]
+    table = np.empty((int(np.prod(sizes)) * t_count, len(blocks)))
+    for i, block in enumerate(blocks):
+        before, after = int(np.prod(sizes[:i])), int(np.prod(sizes[i + 1 :]))
+        shape = (before, sizes[i], after, t_count)
+        table[:, i] = np.broadcast_to(block[None, :, None, :], shape).reshape(-1)
+    return table
 
 
-def test_best_rows_pick_the_first_nan_of_a_column():
-    tails = np.array([[3.0, 1.0], [np.nan, 0.0], [0.0, 0.0], [np.nan, 2.0]])
-    assert _best_rows(tails).tolist() == [1, 1]
+@st.composite
+def stage0_blocks(draw):
+    """Per-state ``(choices, tails)`` blocks with unequal choice counts, as
+    admissibility masks give, holding few distinct values and maybe NaNs."""
+    n = draw(st.integers(1, 4))
+    t_count = draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, 4))
+    nan_share = draw(st.sampled_from([0.0, 0.0, 0.05, 0.5]))
+    blocks = []
+    for size in sizes:
+        # few distinct values, so most columns hold their minimum many times
+        block = rng.integers(0, distinct, size=(size, t_count)).astype(float)
+        block[rng.random(block.shape) < nan_share] = np.nan
+        blocks.append(block)
+    return blocks, t_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage0_blocks())
+def test_first_best_row_takes_argmin_of_the_materialised_stage0_table(case):
+    blocks, t_count = case
+    table = stage0_table(blocks, t_count)
+    expected = table.argmin(axis=0)
+    sizes = [len(block) for block in blocks]
+    for i, block in enumerate(blocks):
+        row, value = _first_best_row(block, int(np.prod(sizes[i + 1 :])))
+        assert row == expected[i]
+        assert np.array_equal(value, table[expected[i], i], equal_nan=True)
+
+
+def test_first_best_row_picks_the_first_nan_of_a_column():
+    # (choices, tails) blocks of two states, two choices each, two tails
+    blocks = [
+        np.array([[3.0, 1.0], [np.nan, np.nan]]),
+        np.array([[0.0, np.nan], [0.0, np.nan]]),
+    ]
+    table = stage0_table(blocks, 2)
+    assert table.argmin(axis=0).tolist() == [4, 1]
+    row, value = _first_best_row(blocks[0], 2)
+    assert row == 4 and np.isnan(value)
+    row, value = _first_best_row(blocks[1], 1)
+    assert row == 1 and np.isnan(value)
+
+
+def test_first_best_row_takes_the_first_of_tied_minima():
+    # every entry ties: the first row of the table
+    assert _first_best_row(np.zeros((3, 5)), 7) == (0, 0.0)
+    # the minimum at the second choice's first and last tails: the first
+    block = np.array([[2.0, 1.0, 2.0], [0.0, 1.0, 0.0]])
+    assert _first_best_row(block, 4) == (1 * 4 * 3 + 0, 0.0)
+
+
+def test_search_keeps_below_the_stage0_table_it_no_longer_stores():
+    """A depth-3 search on ``riskdp verify``'s 4-state, 2-action models
+    covers 16**4 sequences; the stage-0 table would be 65,536 x 4 float64
+    values, 2 MiB."""
+    table_bytes = 16**4 * 4 * 8
+    rng = np.random.default_rng(11)
+    for risk in (Expectation(), AVaR(0.3), MeanDeviation(0.4)):
+        model = random_tabular_model(rng)
+        exhaustive_policy_search(model, risk, 0, spot_check=False)  # warm caches
+        tracemalloc.start()
+        try:
+            exhaustive_policy_search(model, risk, 3, spot_check=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes
 
 
 def test_vertex_masks_are_cached_and_read_only():
