@@ -27,6 +27,7 @@ from riskdp.risk import (
     evaluate,
     kusuoka_evaluate,
     mean_deviation_dual,
+    _tail_take,
     mean_deviation_primal,
     value_at_risk,
 )
@@ -456,3 +457,135 @@ def test_property_tail_average_endpoint_is_maximum(atom_list, alpha):
     p_top = float(d.probs[d.values == top].sum())
     if alpha >= 1.0 - p_top:
         assert abs(avar_primal(alpha, d) - top) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# 1-d dot products: ``ndarray.dot`` against the ``@`` forms it replaced
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def matmul_avar_primal(alpha, dist):
+    """``avar_primal`` with every dot product taken by ``@``."""
+    if alpha == 0.0:
+        return float(dist.values @ dist.probs)
+    if dist._ascending:
+        values, probs = dist.values[::-1].copy(), dist.probs[::-1]
+    else:
+        order = (-dist.values).argsort(kind="stable")
+        values, probs = dist.values[order], dist.probs[order]
+    return float(values @ _tail_take(alpha, probs)) / (1.0 - alpha)
+
+
+def matmul_mean_deviation_primal(kappa, dist):
+    mean = float(dist.values @ dist.probs)
+    return mean + kappa * float(np.abs(dist.values - mean) @ dist.probs)
+
+
+def matmul_mean_deviation_dual(kappa, dist):
+    mean = float(dist.values @ dist.probs)
+    h = kappa * np.sign(dist.values - mean)
+    weights = 1.0 + h - float(h @ dist.probs)
+    return float((weights * dist.probs) @ dist.values), weights
+
+
+def matmul_evaluate(spec, dist):
+    if isinstance(spec, Expectation):
+        return float(dist.values @ dist.probs)
+    if isinstance(spec, AVaR):
+        return matmul_avar_primal(spec.alpha, dist)
+    if isinstance(spec, MeanDeviation):
+        return matmul_mean_deviation_primal(spec.kappa, dist)
+    return sum(w * matmul_avar_primal(a, dist) for a, w in spec.components)
+
+
+@st.composite
+def dot_cases(draw):
+    """A distribution, unsorted with ties or marked ascending as a successor
+    distribution is, and a risk specification of each kind."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 79))
+    values = rng.uniform(-1e3, 1e3, size=k).round(draw(st.sampled_from([0, 3, 12])))
+    probs = rng.uniform(0.05, 1.0, size=k)
+    if draw(st.booleans()):
+        values = np.unique(values)
+        probs = probs[: len(values)]
+        dist = DiscreteDistribution._from_ascending(values, probs / probs.sum())
+    else:
+        dist = DiscreteDistribution(values, probs / probs.sum())
+    alpha = draw(st.sampled_from([0.0, 0.5]) | levels)
+    kappa = draw(kappas)
+    levels_drawn = draw(st.lists(levels, min_size=1, max_size=3))
+    weights = rng.uniform(0.1, 1.0, size=len(levels_drawn))
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    specs = (
+        Expectation(),
+        AVaR(alpha),
+        MeanDeviation(kappa),
+        KusuokaMixture(tuple(zip(levels_drawn, weights.tolist()))),
+    )
+    return dist, alpha, kappa, specs
+
+
+@settings(max_examples=300, deadline=None)
+@given(dot_cases())
+def test_dot_kernels_equal_their_matmul_forms_bit_for_bit(case):
+    dist, alpha, kappa, specs = case
+    assert bits(avar_primal(alpha, dist)) == bits(matmul_avar_primal(alpha, dist))
+    for spec in specs:
+        assert bits(evaluate(spec, dist)) == bits(matmul_evaluate(spec, dist))
+    assert bits(dist.mean()) == bits(dist.values @ dist.probs)
+    assert bits(mean_deviation_primal(kappa, dist)) == bits(
+        matmul_mean_deviation_primal(kappa, dist)
+    )
+    value, density = mean_deviation_dual(kappa, dist)
+    expected_value, expected_weights = matmul_mean_deviation_dual(kappa, dist)
+    assert bits(value) == bits(expected_value)
+    assert density.weights.tobytes() == expected_weights.tobytes()
+    weights = np.random.default_rng(len(dist)).uniform(0.0, 3.0, size=len(dist))
+    density = DualDensity(weights)
+    assert bits(density.mass(dist)) == bits(weights @ dist.probs)
+    assert bits(density.expectation(dist)) == bits((weights * dist.probs) @ dist.values)
+
+
+def test_a_reversed_view_distribution_sums_as_its_contiguous_copy():
+    """A distribution may hold negative-stride views.  ``@`` sums such a
+    view in another order than a contiguous copy, so its last bits could
+    depend on the memory layout; the dot product sums it as the copy."""
+    rng = np.random.default_rng(5)
+    differs_from_matmul = 0
+    for k in range(1, 80):
+        for _ in range(20):
+            values = rng.standard_normal(k) * 100.0
+            probs = rng.uniform(0.05, 1.0, size=k)
+            probs /= probs.sum()
+            view = DiscreteDistribution(values[::-1], probs[::-1])
+            assert view.values.strides[0] < 0
+            copy = DiscreteDistribution(values[::-1].copy(), probs[::-1].copy())
+            for got, expected in (
+                (view.mean(), copy.mean()),
+                (evaluate(Expectation(), view), evaluate(Expectation(), copy)),
+                (mean_deviation_primal(0.3, view), mean_deviation_primal(0.3, copy)),
+                (avar_primal(0.4, view), avar_primal(0.4, copy)),
+            ):
+                assert bits(got) == bits(expected)
+            matmul = float(view.values @ view.probs)
+            assert abs(view.mean() - matmul) <= 1e-12 * np.abs(values).max()
+            differs_from_matmul += view.mean() != matmul
+    # the case is not vacuous: ``@`` on the view does sum differently
+    assert differs_from_matmul > 0
+
+
+def test_dual_density_rejects_bad_weights_with_its_messages():
+    with pytest.raises(ValueError, match="weights must be a 1-d array"):
+        DualDensity(np.ones((2, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            DualDensity(np.array([1.0, bad, 0.5]))
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        DualDensity(np.array([1.0, -1e-14]))
+    # the rounding slack below zero is kept
+    assert DualDensity(np.array([1.0, -1e-16])).weights[1] == -1e-16
