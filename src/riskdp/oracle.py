@@ -16,10 +16,10 @@ The exhaustive search still covers every sequence but evaluates each
 (state, action) column once per stage, then copies it to every rule's block.
 Stage 0 is folded into a per-state argmin over those columns instead of a
 stored table, so the largest table it holds is the ``R**depth x n`` tails of
-stage 1 (``R`` rules per stage).  It reads the model's cached successors, as ``successor_distribution`` does;
-the scenario tree and the risk-neutral dynamic program keep their own
-successor code, so the search's scenario-tree spot-check stays a second
-route.
+stage 1 (``R`` rules per stage).  It reads the model's cached successors, as
+``successor_distribution`` does; the scenario tree and the risk-neutral
+dynamic program keep their own successor code, so the search's
+scenario-tree spot-check stays a second route.
 """
 
 from __future__ import annotations

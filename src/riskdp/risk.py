@@ -16,8 +16,10 @@ vertex-enumeration LP in ``riskdp.oracle``.
 
 One-dimensional dot products are taken with ``ndarray.dot`` rather than
 ``@``: both run the same BLAS ddot, with bit-equal results on contiguous and
-positive-stride vectors, but ``@`` pays matmul's dispatch, about three times
-the per-call cost of ``.dot`` on a few atoms (numpy 2.4).
+positive-stride vectors, but ``@`` pays matmul's dispatch, two to three
+times the per-call cost of ``.dot`` on a few atoms (numpy 2.4).  On a
+negative-stride view ``.dot`` sums a contiguous copy, where ``@`` sums the
+view in another order.
 """
 
 from __future__ import annotations
@@ -358,8 +360,8 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
     if alpha == 0.0:
         return float(dist.values.dot(dist.probs))
     if dist._ascending:
-        # a contiguous copy, so the sum runs in the order of a sorted one:
-        # the dot product of a negative-stride view need not
+        # a contiguous copy, so the values are summed worst first as a
+        # sorted array would be, whatever a dot product does with a view
         values, probs = dist.values[::-1].copy(), dist.probs[::-1]
     else:
         order = (-dist.values).argsort(kind="stable")

@@ -1,6 +1,7 @@
 """Differential tests for the oracle layer's shared work: the exhaustive
 policy search, which computes each (state, action) column once per stage,
-against a test-local copy of the per-(rule, state) loop it replaces, and the
+against a test-local copy of the per-(rule, state) loop it replaces, its
+stage-0 argmin against the materialised stage-0 table it never stores, and the
 dual vertex enumeration with its cached vertex masks against a test-local
 copy of its per-coordinate loop."""
 
@@ -312,14 +313,6 @@ def test_first_best_row_picks_the_first_nan_of_a_column():
     assert row == 4 and np.isnan(value)
     row, value = _first_best_row(blocks[1], 1)
     assert row == 1 and np.isnan(value)
-
-
-def test_first_best_row_takes_the_first_of_tied_minima():
-    # every entry ties: the first row of the table
-    assert _first_best_row(np.zeros((3, 5)), 7) == (0, 0.0)
-    # the minimum at the second choice's first and last tails: the first
-    block = np.array([[2.0, 1.0, 2.0], [0.0, 1.0, 0.0]])
-    assert _first_best_row(block, 4) == (1 * 4 * 3 + 0, 0.0)
 
 
 def test_search_keeps_below_the_stage0_table_it_no_longer_stores():

@@ -553,8 +553,9 @@ def test_dot_kernels_equal_their_matmul_forms_bit_for_bit(case):
 
 def test_a_reversed_view_distribution_sums_as_its_contiguous_copy():
     """A distribution may hold negative-stride views.  ``@`` sums such a
-    view in another order than a contiguous copy, so its last bits could
-    depend on the memory layout; the dot product sums it as the copy."""
+    view in another order than a contiguous copy, so its last bits depended
+    on the memory layout; numpy's ``dot`` copies a negative-stride operand
+    before its BLAS call, so it sums the view as the copy."""
     rng = np.random.default_rng(5)
     differs_from_matmul = 0
     for k in range(1, 80):
