@@ -220,15 +220,12 @@ class MarkovModel:
                     )
                 table[i, a_idx] = c
         self._cost_table = table
+        # filled on the first successor read, by ``_build_successors``
         self._successors = {}
         if isinstance(self.transition, Dynamics):
-            # read-only arrays shared by every pair's cached successors: the
-            # noise probabilities, and the groups of a pair whose atoms all
-            # reach distinct states
+            # read-only noise probabilities shared by every pair's successors
             self._noise_probs = self.transition.noise.dist.probs.copy()
-            self._atom_index = np.arange(len(self._noise_probs))
-            for array in (self._noise_probs, self._atom_index):
-                array.setflags(write=False)
+            self._noise_probs.setflags(write=False)
 
     @property
     def cost_table(self) -> np.ndarray:
@@ -253,50 +250,103 @@ class MarkovModel:
         return float(min(max(x, self.grid.lo), self.grid.hi))
 
     def _successor_support(self, state_index, action_index):
-        """Cached successors of one pair.  For a tabular kernel,
+        """Successors of one (state, action) pair.  For a tabular kernel,
         ``(indices, probs)``: the grid indices of the kernel row's support
         and their probabilities.  For dynamics, ``(query, probs, inverse,
         group_probs)``: the ``_GridQuery`` bracketing the distinct clamped
         successor states, the noise probabilities, the distinct state each
         noise atom reaches (``query`` reads atom ``j`` at ``inverse[j]``)
         and the summed probability of each distinct state, added in atom
-        order by ``np.bincount``.  Caching a pair checks those summed
-        probabilities, or the kernel row's, with ``_check_probs``."""
-        key = (state_index, action_index)
-        support = self._successors.get(key)
+        order by ``np.bincount``.  A pair missing from the successor
+        structure is checked, with the errors ``successor_distribution``
+        raises for a bad pair, and the first read builds the structure."""
+        support = self._successors.get((state_index, action_index))
         if support is None:
-            if isinstance(self.transition, Tabular):
-                row = self.transition.kernel[state_index, action_index]
-                mask = row > 0.0
-                indices, probs = np.flatnonzero(mask), row[mask]
-                _check_probs(probs)
-                indices.setflags(write=False)
-                probs.setflags(write=False)
-                support = (indices, probs)
-            else:
-                x = float(self.grid.points[state_index])
-                a = float(self.actions.values[action_index])
-                noise = self.transition.noise.dist
-                next_state = self.transition.next_state
-                succ = np.array([self.clamp(next_state(x, a, float(xi))) for xi in noise.values])
-                # group bit-identical states (so 0.0 and -0.0 stay apart):
-                # they read bit-identical values from any grid values
-                _, first, inverse = np.unique(
-                    succ.view(np.int64), return_index=True, return_inverse=True
+            if not (0 <= state_index < self._n_states):
+                raise ValueError(f"state index {state_index} out of range")
+            if action_index not in self.actions.indices_for(state_index):
+                raise ValueError(
+                    f"action index {action_index} is not admissible at state {state_index}"
                 )
-                if len(first) < len(succ):
-                    group_probs = np.bincount(inverse, weights=self._noise_probs)
-                    inverse.setflags(write=False)
-                    group_probs.setflags(write=False)
-                    succ = succ[first]
-                else:
-                    # one atom a state: ``bincount``'s ``0.0 + p`` is ``p``
-                    inverse, group_probs = self._atom_index, self._noise_probs
-                _check_probs(group_probs)
-                query = _bracket(self.grid.points, succ)
-                support = (query, self._noise_probs, inverse, group_probs)
-            self._successors[key] = support
+            if not self._successors:
+                self._successors = self._build_successors()
+            support = self._successors[state_index, action_index]
         return support
+
+    def _build_successors(self):
+        """The successors of every admissible pair, keyed by (state index,
+        action index), built in one pass over flat arrays; each pair holds
+        read-only views of them.  Each pair's probabilities (the group
+        probabilities, or the kernel row's support) pass ``_check_probs``."""
+        pairs = [(i, a_idx) for i in range(self._n_states) for a_idx in self.actions.indices_for(i)]
+        successors = {}
+        if isinstance(self.transition, Tabular):
+            rows = self.transition.kernel[tuple(zip(*pairs))]
+            mask = rows > 0.0
+            indices, probs = mask.nonzero()[1], rows[mask]
+            for array in (indices, probs):
+                array.setflags(False)
+            offsets = np.concatenate(([0], mask.sum(axis=1).cumsum())).tolist()
+            for key, start, stop in zip(pairs, offsets, offsets[1:]):
+                support = (indices[start:stop], probs[start:stop])
+                _check_probs(support[1])
+                successors[key] = support
+            return successors
+        noise_probs = self._noise_probs
+        k = len(noise_probs)
+        xis = self.transition.noise.dist.values.tolist()
+        xs, acts = self.grid.points.tolist(), self.actions.values.tolist()
+        next_state = self.transition.next_state
+        succ = np.array(
+            [float(next_state(xs[i], acts[a_idx], xi)) for i, a_idx in pairs for xi in xis]
+        ).reshape(len(pairs), k)
+        # ``clamp``'s ``min(max(x, lo), hi)``: NaN and either zero pass as
+        # they come, and clamping commutes with rounding to a float
+        lo, hi = self.grid.lo, self.grid.hi
+        succ = np.where(lo > succ, lo, succ)
+        succ = np.where(hi < succ, hi, succ)
+        # group each pair's bit-identical states (so 0.0 and -0.0 stay
+        # apart), which read bit-identical values from any grid values: in
+        # the order of their int64 views where a pair's atoms merge, as
+        # ``np.unique`` gives them, and in atom order where none do
+        order = succ.view(np.int64).argsort(axis=1, kind="stable")
+        ranked = np.take_along_axis(succ, order, axis=1)
+        first = np.ones(succ.shape, dtype=bool)
+        first[:, 1:] = ranked.view(np.int64)[:, 1:] != ranked.view(np.int64)[:, :-1]
+        groups = first.sum(axis=1)
+        merged = groups < k
+        first[~merged] = True
+        ranked[~merged] = succ[~merged]
+        rank = first.cumsum(axis=1) - 1
+        inverse = np.empty_like(order)
+        np.put_along_axis(inverse, order, rank, axis=1)
+        inverse[~merged] = np.arange(k)
+        offsets = np.concatenate(([0], groups.cumsum()))
+        # a ``bincount`` over (pair, group) adds each group's probabilities
+        # in atom order from 0.0, as one pair's ``bincount`` does (a lone
+        # atom's ``0.0 + p`` is ``p``)
+        group_probs = np.bincount(
+            (inverse + offsets[:-1, None]).ravel(), weights=np.tile(noise_probs, len(pairs))
+        )
+        query = _bracket(self.grid.points, ranked[first])
+        # each pair's ``ends``, as positions among its own distinct states
+        end_pairs = offsets.searchsorted(query.ends, side="right") - 1
+        ends = query.ends - offsets[end_pairs]
+        for array in (inverse, group_probs, ends):
+            array.setflags(False)
+        end_offsets = query.ends.searchsorted(offsets).tolist()
+        offsets = offsets.tolist()
+        points, q_lo, q_hi, frac = query.points, query.lo, query.hi, query.frac
+        for p, key in enumerate(pairs):
+            start, stop = offsets[p], offsets[p + 1]
+            probs = group_probs[start:stop]
+            _check_probs(probs)
+            pair_query = _GridQuery(
+                points, q_lo[start:stop], q_hi[start:stop], frac[start:stop],
+                ends[end_offsets[p]:end_offsets[p + 1]],
+            )
+            successors[key] = (pair_query, noise_probs, inverse[p], probs)
+        return successors
 
 
 def quantize_standard_normal(k: int) -> NoiseModel:
@@ -328,14 +378,13 @@ class _GridQuery:
     ``read(v)`` interpolates grid values ``v`` at the points as
     ``v[lo] + frac * (v[hi] - v[lo])``, with ``v[-1]`` at the ``ends``
     (points on the last grid point, where that form can round).  ``v`` is
-    one value vector or a 2-d stack of them, read row by row.
+    one value vector or a 2-d stack of them, read row by row.  The arrays
+    are read-only: ``_bracket``'s own, or views of them.
     """
 
     __slots__ = ("points", "lo", "hi", "frac", "ends")
 
     def __init__(self, points, lo, hi, frac, ends):
-        for array in (lo, hi, frac, ends):
-            array.setflags(write=False)
         self.points, self.lo, self.hi, self.frac, self.ends = points, lo, hi, frac, ends
 
     def read(self, values: np.ndarray) -> np.ndarray:
@@ -364,21 +413,27 @@ def _bracket(points: np.ndarray, xs: np.ndarray) -> _GridQuery:
     hi = np.minimum(np.maximum(hi, 1), len(points) - 1)
     lo = hi - 1
     frac = (xs - points[lo]) / (points[hi] - points[lo])
-    return _GridQuery(points, lo, hi, frac, np.flatnonzero(xs == points[-1]))
+    ends = np.flatnonzero(xs == points[-1])
+    for array in (lo, hi, frac, ends):
+        array.setflags(False)
+    return _GridQuery(points, lo, hi, frac, ends)
 
 
 def interpolate(grid, values, x):
     """Piecewise-linear interpolation of grid values, clamping ``x`` to the
     grid range.  ``x`` may be a scalar or an array."""
+    if isinstance(x, _GridQuery):
+        # a model's successor bracket, tested first: it is the solver's path
+        if x.points is not _grid_points(grid):
+            raise ValueError("query was bracketed on another grid")
+        values = np.asarray(values, dtype=float)
+        if values.shape != x.points.shape:
+            raise ValueError("values must align with the grid")
+        return x.read(values)
     points = _grid_points(grid)
     values = np.asarray(values, dtype=float)
     if values.shape != points.shape:
         raise ValueError("values must align with the grid")
-    if isinstance(x, _GridQuery):
-        # a model's cached successor bracket
-        if x.points is not points:
-            raise ValueError("query was bracketed on another grid")
-        return x.read(values)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     out = _bracket(points, np.atleast_1d(np.asarray(x, dtype=float))).read(values)
     return float(out[0]) if scalar else out
@@ -409,19 +464,15 @@ def successor_distribution(
     chance tie), the values already read are expanded to every atom and
     handed to ``_merge_atoms``, with nothing read again.
     """
-    n = model._n_states
-    if not (0 <= state_index < n):
-        raise ValueError(f"state index {state_index} out of range")
-    if action_index not in model.actions.indices_for(state_index):
-        raise ValueError(
-            f"action index {action_index} is not admissible at state {state_index}"
-        )
+    # the successor structure holds exactly the admissible pairs, so only a
+    # pair missing from it needs its indices checked
+    support = model._successors.get((state_index, action_index))
+    if support is None:
+        support = model._successor_support(state_index, action_index)
     # ``DiscreteDistribution`` rejects any non-finite value the pair reads
     v_next = np.asarray(v_next, dtype=float)
-    if v_next.shape != (n,):
+    if v_next.shape != (model._n_states,):
         raise ValueError("v_next must align with the grid")
-
-    support = model._successor_support(state_index, action_index)
     if isinstance(model.transition, Tabular):
         indices, probs = support
         return DiscreteDistribution._from_ascending(*_merge_atoms(v_next[indices], probs))
