@@ -43,7 +43,7 @@ class StateGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        # a read-only copy: the successor brackets a model caches are only
+        # a read-only copy: the successor brackets a model keeps are only
         # valid for the points they were computed on
         points = np.array(self.points, dtype=float)
         points.setflags(write=False)
@@ -167,23 +167,32 @@ class MarkovModel:
     resulting table is cached.  Instances are treated as immutable after
     construction.
 
-    Relying on that rule, each (state, action) pair's successor support is
-    also cached, lazily, the first time the pair's successors are read.  For
-    dynamics, noise atoms whose clamped successor states are bit-identical
-    (often several at each grid end) form one group: the cache holds the
-    grid bracket of each distinct state (lower and upper grid index and
-    interpolation weight, and which sit on the last grid point), the group
-    of each atom (``inverse``), each group's probability summed in atom
-    order, and the noise probabilities.  For a tabular kernel it holds the
-    grid indices of the kernel row's support with their probabilities.  The
-    transition map, the grouping and the bracketing then run once per pair
-    per model, and a sweep only reads the grid values of the distinct
-    states through the cached bracket.  The cached probabilities a pair's
-    successor distributions are made of (the group probabilities, or the
-    kernel row's) are checked once, when the pair is cached, with the
-    checks every ``DiscreteDistribution`` runs; each read then checks only
-    that its values are finite.  The cached arrays and the grid points are
-    read-only.
+    Relying on that rule, the model also keeps a successor structure: the
+    successors of every admissible (state, action) pair.  Construction
+    leaves it empty; the first successor read builds it for every pair at
+    once, in one pass over flat arrays, and every later read, sweep and
+    policy evaluation shares it.  For dynamics the pass calls
+    ``next_state`` once per (pair, noise atom), in state, action and atom
+    order, and clamps the results.  Noise atoms of a pair whose clamped
+    successor states are bit-identical (often several at each grid end)
+    form one group: each pair holds the grid bracket of each distinct
+    state (lower and upper grid index and interpolation weight, and which
+    sit on the last grid point), the group of each atom (``inverse``), each
+    group's probability summed in atom order, and the noise probabilities.
+    For a tabular kernel each pair holds the grid indices of the kernel
+    row's support with their probabilities.  A sweep then only reads the
+    grid values of the distinct states through the bracket.  The
+    probabilities a pair's successor distributions are made of (the group
+    probabilities, or the kernel row's) are checked once per pair, in the
+    pass, with the checks every ``DiscreteDistribution`` runs; each read
+    then checks only that its values are finite.  Each pair's arrays are
+    read-only views of the structure's, and the grid points are read-only.
+
+    Because the pass covers every pair, a ``next_state`` that raises on one
+    pair raises the same exception at the first read of any pair, and
+    leaves the structure empty, so every later read raises it again.  A
+    read of a pair that is out of range or inadmissible raises its
+    ``ValueError`` first, before anything is built.
     """
 
     grid: StateGrid
@@ -297,8 +306,10 @@ class MarkovModel:
         xis = self.transition.noise.dist.values.tolist()
         xs, acts = self.grid.points.tolist(), self.actions.values.tolist()
         next_state = self.transition.next_state
-        succ = np.array(
-            [float(next_state(xs[i], acts[a_idx], xi)) for i, a_idx in pairs for xi in xis]
+        succ = np.fromiter(
+            (float(next_state(xs[i], acts[a_idx], xi)) for i, a_idx in pairs for xi in xis),
+            dtype=float,
+            count=len(pairs) * k,
         ).reshape(len(pairs), k)
         # ``clamp``'s ``min(max(x, lo), hi)``: NaN and either zero pass as
         # they come, and clamping commutes with rounding to a float
@@ -453,9 +464,9 @@ def successor_distribution(
     them again.
 
     For dynamics the atoms that reach one successor state were grouped when
-    the pair was cached, so only the distinct states are read and sorted,
-    and each takes its group's cached probability.  The result is bit for
-    bit that of ``_merge_atoms`` on every atom's value.  Atoms in a group
+    the model's successor structure was built, so only the distinct states
+    are read and sorted, and each takes its group's probability.  The
+    result is bit for bit that of ``_merge_atoms`` on every atom's value.  Atoms in a group
     have bit-identical states, which read bit-identical values.  When the
     distinct states read distinct values, the groups are exactly the sets
     of equal values ``_merge_atoms`` merges, and ``np.bincount`` summed each

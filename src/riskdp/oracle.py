@@ -16,10 +16,11 @@ The exhaustive search still covers every sequence but evaluates each
 (state, action) column once per stage, then copies it to every rule's block.
 Stage 0 is folded into a per-state argmin over those columns instead of a
 stored table, so the largest table it holds is the ``R**depth x n`` tails of
-stage 1 (``R`` rules per stage).  It reads the model's cached successors, as
-``successor_distribution`` does; the scenario tree and the risk-neutral
-dynamic program keep their own successor code, so the search's
-scenario-tree spot-check stays a second route.
+stage 1 (``R`` rules per stage).  It reads each pair's successors from the
+model's successor structure, which the model's first successor read builds
+for every pair at once, as ``successor_distribution`` does; the scenario tree
+and the risk-neutral dynamic program keep their own successor code, so the
+search's scenario-tree spot-check stays a second route.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ def _batch_risk(risk: RiskSpec, probs: np.ndarray, outcomes: np.ndarray) -> np.n
 def _successor_outcomes(
     model: MarkovModel, tails: np.ndarray, state_index: int, action_index: int
 ):
-    """Atom probabilities of one pair's cached successors and, per row of
+    """Atom probabilities of one pair's successors and, per row of
     ``tails``, the values they read: the kernel row's support for a tabular
-    model, the cached grid bracket ``interpolate`` reads for dynamics."""
+    model, the grid bracket ``interpolate`` reads for dynamics."""
     support = model._successor_support(state_index, action_index)
     if isinstance(model.transition, Tabular):
         indices, probs = support

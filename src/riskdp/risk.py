@@ -97,8 +97,8 @@ class DiscreteDistribution:
         Only the values are checked here, and only at their two ends: a
         sorted float array has any ``-inf`` first and any ``+inf`` or NaN
         last.  The caller, ``riskdp.model.successor_distribution``, checked
-        the probabilities with ``_check_probs`` once, when the pair's
-        successors were cached.  Each call's ``probs`` are those checked
+        the probabilities with ``_check_probs`` once per pair, when the
+        model's successor structure was built.  Each call's ``probs`` are those checked
         probabilities permuted, or sums of subsets of them added in atom
         order: every one stays strictly positive, and their total differs
         from the checked total only by the rounding of a reordered sum, a
@@ -159,9 +159,9 @@ def _check_values(values: np.ndarray):
 
 def _check_probs(probs: np.ndarray):
     """Every probability is strictly positive (``>`` is False on a NaN) and
-    they sum to one within ``PROB_TOL``.  A model runs it once per cached
-    (state, action) pair on the probabilities its successor distributions
-    are made of."""
+    they sum to one within ``PROB_TOL``.  A model runs it once per
+    (state, action) pair, when it builds its successor structure, on the
+    probabilities the pair's successor distributions are made of."""
     if np.count_nonzero(probs > _ZERO) != len(probs):
         raise ValueError("atom probabilities must be strictly positive")
     total = float(np.add.reduce(probs))
