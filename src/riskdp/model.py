@@ -320,18 +320,15 @@ class MarkovModel:
         # apart), which read bit-identical values from any grid values: in
         # the order of their int64 views where a pair's atoms merge, as
         # ``np.unique`` gives them, and in atom order where none do
-        order = succ.view(np.int64).argsort(axis=1, kind="stable")
-        ranked = np.take_along_axis(succ, order, axis=1)
+        keys = succ.view(np.int64)
+        order = keys.argsort(axis=1, kind="stable")
+        ranked = np.take_along_axis(keys, order, axis=1)
         first = np.ones(succ.shape, dtype=bool)
-        first[:, 1:] = ranked.view(np.int64)[:, 1:] != ranked.view(np.int64)[:, :-1]
+        first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
         groups = first.sum(axis=1)
-        merged = groups < k
-        first[~merged] = True
-        ranked[~merged] = succ[~merged]
-        rank = first.cumsum(axis=1) - 1
+        order[groups == k] = np.arange(k)
         inverse = np.empty_like(order)
-        np.put_along_axis(inverse, order, rank, axis=1)
-        inverse[~merged] = np.arange(k)
+        np.put_along_axis(inverse, order, first.cumsum(axis=1) - 1, axis=1)
         offsets = np.concatenate(([0], groups.cumsum()))
         # a ``bincount`` over (pair, group) adds each group's probabilities
         # in atom order from 0.0, as one pair's ``bincount`` does (a lone
@@ -339,7 +336,7 @@ class MarkovModel:
         group_probs = np.bincount(
             (inverse + offsets[:-1, None]).ravel(), weights=np.tile(noise_probs, len(pairs))
         )
-        query = _bracket(self.grid.points, ranked[first])
+        query = _bracket(self.grid.points, np.take_along_axis(succ, order, axis=1)[first])
         # each pair's ``ends``, as positions among its own distinct states
         end_pairs = offsets.searchsorted(query.ends, side="right") - 1
         ends = query.ends - offsets[end_pairs]
@@ -466,14 +463,15 @@ def successor_distribution(
     For dynamics the atoms that reach one successor state were grouped when
     the model's successor structure was built, so only the distinct states
     are read and sorted, and each takes its group's probability.  The
-    result is bit for bit that of ``_merge_atoms`` on every atom's value.  Atoms in a group
-    have bit-identical states, which read bit-identical values.  When the
-    distinct states read distinct values, the groups are exactly the sets
-    of equal values ``_merge_atoms`` merges, and ``np.bincount`` summed each
-    group in atom order from 0.0, as ``_merge_atoms`` does (a lone atom's
-    ``0.0 + p`` is ``p``).  When two distinct states read equal values (a
-    chance tie), the values already read are expanded to every atom and
-    handed to ``_merge_atoms``, with nothing read again.
+    result is bit for bit that of ``_merge_atoms`` on every atom's value.
+    Atoms in a group have bit-identical states, which read bit-identical
+    values.  When the distinct states read distinct values, the groups are
+    exactly the sets of equal values ``_merge_atoms`` merges, and
+    ``np.bincount`` summed each group in atom order from 0.0, as
+    ``_merge_atoms`` does (a lone atom's ``0.0 + p`` is ``p``).  When two
+    distinct states read equal values (a chance tie), the values already
+    read are expanded to every atom and handed to ``_merge_atoms``, with
+    nothing read again.
     """
     # the successor structure holds exactly the admissible pairs, so only a
     # pair missing from it needs its indices checked
@@ -524,13 +522,14 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
 
 
 #: largest ``grid_points * n_actions * noise_atoms`` of a parametric model:
-#: the model caches up to one bracketed successor per atom, and a sweep reads
-#: them all (1001 x 41 x 15 is 615,615)
+#: the successor structure holds up to one bracketed successor per atom, and
+#: a sweep reads them all (1001 x 41 x 15 is 615,615)
 MAX_SUCCESSOR_ATOMS = 10 ** 7
 #: largest ``grid_points * n_actions`` of a parametric model: the cost table,
-#: the successor cache and each sweep grow per (state, action) pair, about
-#: 1.1 to 1.4 KB a cached pair (1,352 bytes at 1001 x 41 x 15, where 45% of
-#: the 41,041 pairs merge atoms; measured with tracemalloc, numpy 2.4)
+#: the successor structure and each sweep grow per (state, action) pair, about
+#: 1.2 to 1.5 KB a pair (1,427 bytes for the LQ model at 1001 x 41 x 15, where
+#: 45% of the 41,041 pairs merge atoms, and 1,474 for the investment model;
+#: measured with tracemalloc, numpy 2.4)
 MAX_SUCCESSOR_PAIRS = 10 ** 6
 
 

@@ -98,11 +98,11 @@ class DiscreteDistribution:
         sorted float array has any ``-inf`` first and any ``+inf`` or NaN
         last.  The caller, ``riskdp.model.successor_distribution``, checked
         the probabilities with ``_check_probs`` once per pair, when the
-        model's successor structure was built.  Each call's ``probs`` are those checked
-        probabilities permuted, or sums of subsets of them added in atom
-        order: every one stays strictly positive, and their total differs
-        from the checked total only by the rounding of a reordered sum, a
-        few ulps, far inside ``PROB_TOL``.
+        model's successor structure was built.  Each call's ``probs`` are
+        those checked probabilities permuted, or sums of subsets of them
+        added in atom order: every one stays strictly positive, and their
+        total differs from the checked total only by the rounding of a
+        reordered sum, a few ulps, far inside ``PROB_TOL``.
         """
         if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
             raise ValueError("atom values must be finite")
