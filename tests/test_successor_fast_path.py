@@ -1,10 +1,12 @@
-"""Differential tests: the cached successor support and its grid bracket,
-the per-pair merge of distinct successor states and its fallback on chance
-ties, the sort-and-mask atom merge, the in-place tail take, its cache, and
-the risk read of a successor distribution's sorted atoms against test-local
-copies of the straightforward forms they replace, compared bit for bit;
-the finiteness check at the ends of a pair's sorted values; and how often
-a solve checks probabilities and computes tail takes."""
+"""Differential tests: the model's one-pass successor structure and its
+grid brackets, the per-pair merge of distinct successor states and its
+fallback on chance ties, the sort-and-mask atom merge, the in-place tail
+take, its cache, and the risk read of a successor distribution's sorted
+atoms against test-local copies of the straightforward (often per-pair)
+forms they replace, compared bit for bit; the finiteness check at the ends
+of a pair's sorted values; when the successor structure is built, and what
+a bad pair or a failing ``next_state`` raises; and how often a solve checks
+probabilities, brackets successor states and computes tail takes."""
 
 import math
 
@@ -28,6 +30,7 @@ from riskdp.model import (
     build_lq,
     build_tabular,
     interpolate,
+    quantize_standard_normal,
     successor_distribution,
 )
 from riskdp.risk import (
@@ -170,7 +173,7 @@ models = st.one_of(lq_models(), investment_models(), tabular_models())
 @given(st.data())
 def test_successor_distribution_matches_reference(data):
     model = data.draw(models)
-    for _ in range(2):  # the second pass reads the cached supports
+    for _ in range(2):  # the second pass reads the built structure
         assert_same_as_reference(model, data.draw(value_functions(model.n_states)))
 
 
@@ -718,3 +721,263 @@ def test_each_pair_checks_its_probabilities_once_and_tail_takes_are_shared(monke
     assert sorted(computed) == sorted(set(requested))
     assert len(requested) == pairs * (report.sweeps + 4)
     assert 20 * len(computed) < len(requested)
+
+
+def per_pair_support(model, i, a_idx):
+    """One pair's successors built on their own, as the per-pair build did:
+    the kernel row's support ``(indices, probs)``, or, from the pair's
+    fresh successor states, ``np.unique`` of their int64 views, the pair's
+    own ``np.bincount`` and the ``np.clip`` form of the bracket as
+    ``(lo, hi, frac, ends, inverse, group_probs)``."""
+    if isinstance(model.transition, Tabular):
+        row = model.transition.kernel[i, a_idx]
+        mask = row > 0.0
+        return np.flatnonzero(mask), row[mask]
+    succ = fresh_successors(model, i, a_idx)
+    probs = model.transition.noise.dist.probs
+    _, first, inverse = np.unique(succ.view(np.int64), return_index=True, return_inverse=True)
+    if len(first) < len(succ):
+        states, group_probs = succ[first], np.bincount(inverse, weights=probs)
+    else:
+        states, inverse, group_probs = succ, np.arange(len(succ)), probs
+    points = model.grid.points
+    # ``_bracket`` clamps with ``np.maximum``, which takes a 0.0 grid end
+    # over a -0.0 state (``np.clip`` keeps the -0.0)
+    xs = np.minimum(np.maximum(states, points[0]), points[-1])
+    hi = np.clip(np.searchsorted(points, xs, side="right"), 1, len(points) - 1)
+    lo = hi - 1
+    frac = (xs - points[lo]) / (points[hi] - points[lo])
+    return lo, hi, frac, np.flatnonzero(xs == points[-1]), inverse, group_probs
+
+
+def admissible_pairs(model):
+    return [(i, a_idx) for i in range(model.n_states) for a_idx in model.actions.indices_for(i)]
+
+
+def assert_structure_as_per_pair(model):
+    """The one-pass structure holds exactly the admissible pairs, and each
+    pair's arrays equal the per-pair build's in dtype and bytes and are
+    read-only."""
+    for i, a_idx in admissible_pairs(model):
+        support = model._successor_support(i, a_idx)
+        if isinstance(model.transition, Tabular):
+            got = support
+        else:
+            query, probs, inverse, group_probs = support
+            assert query.points is model.grid.points
+            assert probs.tobytes() == model.transition.noise.dist.probs.tobytes()
+            assert not probs.flags.writeable
+            got = (query.lo, query.hi, query.frac, query.ends, inverse, group_probs)
+        expected = per_pair_support(model, i, a_idx)
+        assert len(got) == len(expected)
+        for array, want in zip(got, expected):
+            assert array.dtype == want.dtype and array.shape == want.shape
+            assert array.tobytes() == want.tobytes()
+            assert not array.flags.writeable
+    assert sorted(model._successors) == admissible_pairs(model)
+
+
+@st.composite
+def masked_user_models(draw):
+    """User dynamics on 2 to 5 grid points whose admissibility masks skip
+    pairs, and whose successors reach 0.0 and -0.0 (``copysign`` of a zero
+    product), tie by chance (``xi`` and ``-xi`` squared) and clamp at both
+    grid ends (large noise)."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    admissible = tuple(
+        tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))) for _ in range(n)
+    )
+    xi = draw(
+        st.lists(
+            st.sampled_from([-5.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 5.0]) | st.floats(-5.0, 5.0),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    noise = NoiseModel(DiscreteDistribution(np.array(xi), weights / weights.sum()))
+    shape = draw(st.sampled_from(["signed", "square", "affine"]))
+
+    def next_state(x, a, xi):
+        if shape == "signed":
+            return math.copysign(x * a, xi) if abs(xi) < 2.0 else x + xi
+        if shape == "square":
+            return x + a - xi * xi
+        return x + a * xi
+
+    half = draw(st.floats(0.25, 2.0))
+    return MarkovModel(
+        StateGrid(np.linspace(-half, half, n)),
+        ActionSet(np.linspace(-1.0, 1.0, m), admissible),
+        Dynamics(next_state, noise),
+        lambda x, a: 0.0,
+        0.5,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        lq_models(), investment_models(), tie_models(), masked_user_models(), tabular_models()
+    )
+)
+def test_one_pass_structure_equals_the_per_pair_build(model):
+    assert_structure_as_per_pair(model)
+
+
+def test_one_pass_structure_equals_the_per_pair_build_on_fixed_cases():
+    """Signed zeros on both sides of a merge, a mask that skips pairs,
+    clamps at both grid ends, a single noise atom, a 2-point grid, and a
+    tabular kernel whose rows hold zeros under a mask."""
+    noise = NoiseModel(
+        DiscreteDistribution(np.array([-9.0, -1.0, -0.5, 0.5, 1.0, 9.0]), np.full(6, 1.0 / 6.0))
+    )
+    signed = MarkovModel(
+        StateGrid(np.array([-1.0, 0.0, 1.0])),
+        ActionSet(np.array([-1.0, 0.0, 1.0]), ((0, 2), (1,), (0, 1, 2))),
+        Dynamics(lambda x, a, xi: math.copysign(x * a, xi) if abs(xi) < 2.0 else xi, noise),
+        lambda x, a: 0.0,
+        0.5,
+    )
+    kernel = np.zeros((3, 2, 3))
+    kernel[:, 0, 0] = 1.0
+    kernel[:, 1] = [[0.0, 0.25, 0.75], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]
+    tabular = MarkovModel(
+        StateGrid(np.arange(3.0)),
+        ActionSet(np.arange(2.0), ((1,), (0, 1), (1,))),
+        Tabular(kernel),
+        lambda x, a: 0.0,
+        0.5,
+    )
+    cases = [
+        signed,
+        tabular,
+        build_lq(LQParams(3.0, 2.0, -0.5, 0.5, 2, 3, 7), 0.5),
+        build_lq(LQParams(1.0, 1.0, -2.0, 2.0, 5, 3, 1), 0.5),
+        build_lq(LQParams(1.0, 0.0, -1.0, 1.0, 2, 1, 1), 0.5),
+        build_investment(InvestmentParams(0.1, 0.0, 3.0, 1.0, 0.0, 1.0, 3, 3, 4), 0.9),
+    ]
+    for model in cases:
+        assert_structure_as_per_pair(model)
+    # state 1 (x = 0) takes only action 0: -0.0 and 0.0 from ``copysign``,
+    # and both grid ends from -9 and 9, in the order of their int64 views
+    query, _, inverse, group_probs = signed._successor_support(1, 1)
+    assert inverse.tolist() == [1, 0, 0, 2, 2, 3]
+    assert group_probs.tolist() == [2 / 6, 1 / 6, 2 / 6, 1 / 6]
+    assert query.lo.tolist() == [1, 0, 1, 1] and query.ends.tolist() == [3]
+    assert [math.copysign(1.0, f) for f in query.frac] == [-1.0, 1.0, 1.0, 1.0]
+    assert (1, 0) not in signed._successors and (0, 0) not in tabular._successors
+
+
+def counting_lq():
+    """The 9 x 5 x 5 LQ model with a ``next_state`` that counts its calls."""
+    calls = []
+
+    def next_state(x, a, xi):
+        calls.append((x, a, xi))
+        return x + a + xi
+
+    noise = quantize_standard_normal(5)
+    model = MarkovModel(
+        StateGrid(np.linspace(-3.0, 3.0, 9)),
+        ActionSet(np.linspace(-2.0, 2.0, 5)),
+        Dynamics(next_state, noise),
+        lambda x, a: x * x + a * a,
+        0.5,
+    )
+    return model, calls
+
+
+def test_the_structure_is_built_on_the_first_read_and_never_again(monkeypatch, tmp_path):
+    """No builder fills the structure; the first read fills every
+    admissible pair at once, and later reads, sweeps, policy evaluation and
+    backward induction never build it again."""
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"model": {"lq": {"sigma": 1.0, "action_bound": 2.0, "x_lo": -3.0, "x_hi": 3.0,'
+        ' "grid_points": 9, "n_actions": 5, "noise_atoms": 5}},'
+        ' "risk": {"kind": "avar", "alpha": 0.5}, "discount": 0.5}'
+    )
+    from riskdp.cli import build_model, load_config
+
+    assert build_model(load_config(str(config)))._successors == {}
+    builds = []
+    build = MarkovModel._build_successors
+
+    def counting_build(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(MarkovModel, "_build_successors", counting_build)
+    model, calls = counting_lq()
+    rng = np.random.default_rng(0)
+    tabular = build_tabular(rng.dirichlet(np.ones(4), size=(4, 2)), np.ones((4, 2)), 0.5)
+    for fresh in (model, tabular):
+        assert fresh._successors == {}
+        successor_distribution(fresh, fresh.n_states - 1, 0, np.zeros(fresh.n_states))
+        assert sorted(fresh._successors) == admissible_pairs(fresh)
+    assert builds == [model, tabular]
+    assert len(calls) == 9 * 5 * 5
+    structure = model._successors
+    risk = AVaR(0.5)
+    v, rule = bellman_update(model, risk, np.zeros(9))
+    bellman_update(model, risk, v)
+    evaluate_policy(model, risk, Policy.stationary(rule), 3)
+    backward_induct(model, risk, 2)
+    value_iterate(tabular, risk, 1e-6, 50)
+    assert builds == [model, tabular]
+    assert model._successors is structure and len(calls) == 9 * 5 * 5
+
+
+def test_a_bad_pair_on_a_fresh_model_raises_before_anything_is_built():
+    model, calls = counting_lq()
+    v_next = np.zeros(9)
+    for i, a_idx, message in (
+        (-1, 0, "state index -1 out of range"),
+        (9, 0, "state index 9 out of range"),
+        (0, 5, "action index 5 is not admissible at state 0"),
+        (0, -1, "action index -1 is not admissible at state 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            successor_distribution(model, i, a_idx, v_next)
+        assert model._successors == {} and calls == []
+    masked = MarkovModel(
+        StateGrid(np.array([0.0, 1.0])),
+        ActionSet(np.array([0.0, 1.0]), ((0,), (1,))),
+        Dynamics(lambda x, a, xi: x + a + xi, quantize_standard_normal(2)),
+        lambda x, a: 0.0,
+        0.5,
+    )
+    for fresh in (True, False):
+        with pytest.raises(ValueError, match="action index 1 is not admissible at state 0"):
+            successor_distribution(masked, 0, 1, np.zeros(2))
+        assert (masked._successors == {}) is fresh
+        successor_distribution(masked, 1, 1, np.zeros(2))
+
+
+def test_a_failing_next_state_fails_the_first_read_of_any_pair():
+    """A ``next_state`` that raises on one pair raises the same exception at
+    the first read of every pair, not only at its own, and leaves nothing
+    built, so each later read raises it again."""
+
+    class Boom(Exception):
+        pass
+
+    def next_state(x, a, xi):
+        if x == 1.0 and a == 1.0:
+            raise Boom("no successor")
+        return x
+
+    model = MarkovModel(
+        StateGrid(np.array([0.0, 1.0])),
+        ActionSet(np.array([0.0, 1.0])),
+        Dynamics(next_state, quantize_standard_normal(3)),
+        lambda x, a: 0.0,
+        0.5,
+    )
+    for i, a_idx in ((0, 0), (1, 0), (1, 1)):
+        with pytest.raises(Boom, match="no successor"):
+            successor_distribution(model, i, a_idx, np.zeros(2))
+        assert model._successors == {}
