@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from riskdp import model as model_module
 from riskdp import risk as risk_module
+from riskdp.cli import build_model, load_config
 from riskdp.model import (
     ActionSet,
     Dynamics,
@@ -900,8 +901,6 @@ def test_the_structure_is_built_on_the_first_read_and_never_again(monkeypatch, t
         ' "grid_points": 9, "n_actions": 5, "noise_atoms": 5}},'
         ' "risk": {"kind": "avar", "alpha": 0.5}, "discount": 0.5}'
     )
-    from riskdp.cli import build_model, load_config
-
     assert build_model(load_config(str(config)))._successors == {}
     builds = []
     build = MarkovModel._build_successors
