@@ -19,7 +19,10 @@ One-dimensional dot products are taken with ``ndarray.dot`` rather than
 positive-stride vectors, but ``@`` pays matmul's dispatch, two to three
 times the per-call cost of ``.dot`` on a few atoms (numpy 2.4).  On a
 negative-stride view ``.dot`` sums a contiguous copy, where ``@`` sums the
-view in another order.
+view in another order.  On one atom ``.dot`` returns the lone product, so a
+value of ``-0.0`` stays ``-0.0``, where ``@`` adds it to a ``+0.0``
+accumulator; each ``.dot`` result therefore has ``0.0`` added, which turns
+``-0.0`` into ``0.0`` and leaves every other float as it is.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ class DiscreteDistribution:
         return len(self.values)
 
     def mean(self) -> float:
-        return float(self.values.dot(self.probs))
+        return float(self.values.dot(self.probs)) + 0.0
 
 
 def _check_atoms(values: np.ndarray, probs: np.ndarray):
@@ -193,11 +196,11 @@ class DualDensity:
 
     def mass(self, dist: DiscreteDistribution) -> float:
         """Total reweighted probability mass against ``dist``."""
-        return float(self.weights.dot(dist.probs))
+        return float(self.weights.dot(dist.probs)) + 0.0
 
     def expectation(self, dist: DiscreteDistribution) -> float:
         """Expectation of the atom values under the reweighted probabilities."""
-        return float((self.weights * dist.probs).dot(dist.values))
+        return float((self.weights * dist.probs).dot(dist.values)) + 0.0
 
 
 class RiskSpec:
@@ -358,7 +361,7 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
     """
     _check_level(alpha)
     if alpha == 0.0:
-        return float(dist.values.dot(dist.probs))
+        return float(dist.values.dot(dist.probs)) + 0.0
     if dist._ascending:
         # a contiguous copy, so the values are summed worst first as a
         # sorted array would be, whatever a dot product does with a view
@@ -370,7 +373,7 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
         take = _cached_tail_take(alpha, probs.tobytes())
     else:
         take = _tail_take(alpha, probs)
-    return float(values.dot(take)) / (1.0 - alpha)
+    return (float(values.dot(take)) + 0.0) / (1.0 - alpha)
 
 
 def avar_dual(alpha: float, dist: DiscreteDistribution) -> Tuple[float, DualDensity]:
@@ -400,8 +403,8 @@ def mean_deviation_primal(kappa: float, dist: DiscreteDistribution) -> float:
     monotone.
     """
     _check_kappa(kappa)
-    mean = float(dist.values.dot(dist.probs))
-    dev = float(np.abs(dist.values - mean).dot(dist.probs))
+    mean = float(dist.values.dot(dist.probs)) + 0.0
+    dev = float(np.abs(dist.values - mean).dot(dist.probs)) + 0.0
     return mean + kappa * dev
 
 
@@ -414,9 +417,9 @@ def mean_deviation_dual(kappa: float, dist: DiscreteDistribution) -> Tuple[float
     the atoms of ``dist``.
     """
     _check_kappa(kappa)
-    mean = float(dist.values.dot(dist.probs))
+    mean = float(dist.values.dot(dist.probs)) + 0.0
     h = kappa * np.sign(dist.values - mean)
-    weights = 1.0 + h - float(h.dot(dist.probs))
+    weights = 1.0 + h - (float(h.dot(dist.probs)) + 0.0)
     density = DualDensity(weights)
     return density.expectation(dist), density
 
@@ -453,7 +456,7 @@ def evaluate(spec: RiskSpec, dist: DiscreteDistribution) -> float:
     probability-weighted mean, the mixture kind evaluates its single mixture.
     """
     if isinstance(spec, Expectation):
-        return float(dist.values.dot(dist.probs))
+        return float(dist.values.dot(dist.probs)) + 0.0
     if isinstance(spec, AVaR):
         return avar_primal(spec.alpha, dist)
     if isinstance(spec, MeanDeviation):
