@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Iterator, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
@@ -130,46 +130,39 @@ class RunConfig:
 
 
 def _risk_to_json(risk: RiskSpec) -> dict:
-    if isinstance(risk, Expectation):
-        return {"kind": "expectation"}
-    if isinstance(risk, AVaR):
-        return {"kind": "avar", "alpha": risk.alpha}
-    if isinstance(risk, MeanDeviation):
-        return {"kind": "mean_deviation", "kappa": risk.kappa}
-    if isinstance(risk, KusuokaMixture):
-        return {"kind": "kusuoka", "components": [list(c) for c in risk.components]}
-    raise TypeError(f"unknown risk specification: {risk!r}")
+    """A risk spec's config form: its ``kind``, then its fields."""
+    fields = dataclass_fields(risk)
+    return {"kind": risk.kind, **{f.name: getattr(risk, f.name) for f in fields}}
 
 
 def _parse_risk(doc) -> RiskSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("config.risk: expected an object with a 'kind' field")
     kind = doc["kind"]
+    # a list or dict ``kind`` is unhashable, so test the type before the lookup
+    cls = RISKS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"config.risk.kind: unknown kind {kind!r}")
+    fields = get_type_hints(cls)
+    _reject_extra(doc, {"kind", *fields}, "config.risk")
     try:
-        if kind == "expectation":
-            _reject_extra(doc, {"kind"}, "config.risk")
-            return Expectation()
-        if kind == "avar":
-            _reject_extra(doc, {"kind", "alpha"}, "config.risk")
-            return AVaR(_field(doc, "alpha", float, where="config.risk"))
-        if kind == "mean_deviation":
-            _reject_extra(doc, {"kind", "kappa"}, "config.risk")
-            return MeanDeviation(_field(doc, "kappa", float, where="config.risk"))
-        if kind == "kusuoka":
-            _reject_extra(doc, {"kind", "components"}, "config.risk")
-            where = "config.risk.components"
-            components = tuple(
-                (_finite(float(a), f"{where}[{k}]"), _finite(float(w), f"{where}[{k}]"))
-                for k, (a, w) in enumerate(doc["components"])
-            )
-            return KusuokaMixture(components)
+        args = {}
+        for name, caster in fields.items():
+            if caster is float:
+                args[name] = _field(doc, name, float, where="config.risk")
+            else:
+                # the mixture's (level, weight) pairs, not read by ``_field``,
+                # which would prefix the ConfigError of ``_finite`` again
+                where = f"config.risk.{name}"
+                args[name] = tuple(
+                    (_finite(float(a), f"{where}[{k}]"), _finite(float(w), f"{where}[{k}]"))
+                    for k, (a, w) in enumerate(doc[name])
+                )
+        return cls(**args)
     except ConfigError:
         raise
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config.risk: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config.risk: {exc}") from exc
-    raise ConfigError(f"config.risk.kind: unknown kind {kind!r}")
 
 
 def _reject_extra(doc: dict, allowed: set, where: str):
@@ -197,6 +190,10 @@ def _field(doc: dict, key: str, caster, default=None, where: str = "config"):
         raise ConfigError(f"{where}.{key}: {exc}") from exc
     return _finite(value, f"{where}.{key}")
 
+
+#: risk class of each config ``kind``; the config fields, their order and
+#: their types are the class's annotated fields
+RISKS = {cls.kind: cls for cls in (Expectation, AVaR, MeanDeviation, KusuokaMixture)}
 
 #: parameter class and builder of each parametric model kind; the config
 #: fields, their order and their types are the class's annotated fields.  The

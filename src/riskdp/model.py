@@ -271,7 +271,9 @@ class MarkovModel:
         raises for a bad pair, and the first read builds the structure."""
         support = self._successors.get((state_index, action_index))
         if support is None:
-            if not (0 <= state_index < self._n_states):
+            # holds for an integral index of any type (``1``, ``np.int64(1)``,
+            # ``1.0``), where ``0 <= 1.5 < n`` would let ``1.5`` through
+            if state_index not in range(self._n_states):
                 raise ValueError(f"state index {state_index} out of range")
             if action_index not in self.actions.indices_for(state_index):
                 raise ValueError(

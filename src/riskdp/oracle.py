@@ -16,11 +16,12 @@ The exhaustive search still covers every sequence but evaluates each
 (state, action) column once per stage, then copies it to every rule's block.
 Stage 0 is folded into a per-state argmin over those columns instead of a
 stored table, so the largest table it holds is the ``R**depth x n`` tails of
-stage 1 (``R`` rules per stage).  It reads each pair's successors from the
-model's successor structure, which the model's first successor read builds
-for every pair at once, as ``successor_distribution`` does; the scenario tree
-and the risk-neutral dynamic program keep their own successor code, so the
-search's scenario-tree spot-check stays a second route.
+stage 1 (``R`` rules per stage).  A column is the risk kind's ``batch_value``
+(``riskdp.risk``) over its successor outcomes.  It reads each pair's
+successors from the model's successor structure, which the model's first
+successor read builds for every pair at once, as ``successor_distribution``
+does; the scenario tree and the risk-neutral dynamic program keep their own
+successor code, so the search's scenario-tree spot-check stays a second route.
 """
 
 from __future__ import annotations
@@ -34,17 +35,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .model import MarkovModel, Tabular
-from .risk import (
-    AVaR,
-    DiscreteDistribution,
-    Expectation,
-    KusuokaMixture,
-    MeanDeviation,
-    RiskSpec,
-    _check_level,
-    _tail_take,
-    evaluate,
-)
+from .risk import DiscreteDistribution, RiskSpec, _check_level, evaluate
 from .solver import Policy
 
 __all__ = [
@@ -196,41 +187,6 @@ def scenario_tree_value(
 # exhaustive policy enumeration
 
 
-def _worst_first(probs: np.ndarray, outcomes: np.ndarray):
-    """Each row of ``outcomes`` and the shared atom probabilities, sorted
-    from worst to best value (ties in atom order)."""
-    order = np.argsort(-outcomes, axis=1, kind="stable")
-    rows = np.arange(outcomes.shape[0])[:, None]
-    return outcomes[rows, order], probs[order]
-
-
-def _batch_avar(alpha: float, sorted_vals: np.ndarray, sorted_probs: np.ndarray) -> np.ndarray:
-    """Tail-average risk of each row of worst-first outcomes, via direct
-    tail-mass collection."""
-    take = _tail_take(alpha, sorted_probs)
-    return (sorted_vals * take).sum(axis=1) / (1.0 - alpha)
-
-
-def _batch_risk(risk: RiskSpec, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """Row-wise risk of an outcome matrix under shared atom probabilities."""
-    if isinstance(risk, Expectation):
-        return outcomes @ probs
-    if isinstance(risk, AVaR):
-        return _batch_avar(risk.alpha, *_worst_first(probs, outcomes))
-    if isinstance(risk, MeanDeviation):
-        means = outcomes @ probs
-        dev = np.abs(outcomes - means[:, None]) @ probs
-        return means + risk.kappa * dev
-    if isinstance(risk, KusuokaMixture):
-        # one sort serves every component: ``_tail_take`` leaves it intact
-        sorted_vals, sorted_probs = _worst_first(probs, outcomes)
-        total = np.zeros(outcomes.shape[0])
-        for alpha, weight in risk.components:
-            total += weight * _batch_avar(alpha, sorted_vals, sorted_probs)
-        return total
-    raise TypeError(f"unknown risk specification: {risk!r}")
-
-
 def _successor_outcomes(
     model: MarkovModel, tails: np.ndarray, state_index: int, action_index: int
 ):
@@ -306,7 +262,7 @@ def exhaustive_policy_search(
     def column(tails: np.ndarray, i: int, a_idx: int) -> np.ndarray:
         """Value at state ``i`` of taking ``a_idx`` ahead of each tail."""
         probs, outcomes = _successor_outcomes(model, tails, i, a_idx)
-        return model.cost_at(i, a_idx) + beta * _batch_risk(risk, probs, outcomes)
+        return model.cost_at(i, a_idx) + beta * risk.batch_value(probs, outcomes)
 
     # tails[t] is the value vector of one policy-tail; peeling stages from
     # the last to stage 1 multiplies the tail count by n_rules each time.

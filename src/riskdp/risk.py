@@ -7,12 +7,16 @@ mean absolute-deviation risk (again primal and dual), and evaluation of the
 maximum over a finite family of tail-average mixtures.  All functionals
 interpret larger values as worse outcomes (costs).
 
+Each risk kind is one ``RiskSpec`` class carrying its config name, its value,
+its batched value over outcome rows and its dual density cap.
+
 The tail-average primal and dual share one greedy tail take (``_tail_take``,
-also used batched by the oracle's exhaustive search); the primal reads it
-through a bounded cache per (level, worst-first probabilities).  The dual's
-value is the expectation under the density it returns, so checking it
-checks that density.  The independent check of both is the
-vertex-enumeration LP in ``riskdp.oracle``.
+also used batched by ``AVaR.batch_value`` and ``KusuokaMixture.batch_value``,
+which the oracle's exhaustive search calls); the primal reads it through a
+bounded cache per (level, worst-first probabilities).  The dual's value is
+the expectation under the density it returns, so checking it checks that
+density.  The independent check of both is the vertex-enumeration LP in
+``riskdp.oracle``.
 
 One-dimensional dot products are taken with ``ndarray.dot`` rather than
 ``@``: both run the same BLAS ddot, with bit-equal results on contiguous and
@@ -204,7 +208,12 @@ class DualDensity:
 
 
 class RiskSpec:
-    """Base class for one-step risk functional specifications."""
+    """Base class for one-step risk functional specifications.
+
+    Each kind has ``kind``, its config name (a class attribute); ``value(dist)``;
+    ``batch_value(probs, outcomes)``, the value of each row of outcomes under
+    shared probabilities; and ``cap()``, the bound on its dual density weights.
+    """
 
     __slots__ = ()
 
@@ -212,6 +221,17 @@ class RiskSpec:
 @dataclass(frozen=True)
 class Expectation(RiskSpec):
     """Plain expectation (risk neutral)."""
+
+    kind = "expectation"
+
+    def value(self, dist: DiscreteDistribution) -> float:
+        return float(dist.values.dot(dist.probs)) + 0.0
+
+    def batch_value(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        return outcomes @ probs
+
+    def cap(self) -> float:
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -221,10 +241,20 @@ class AVaR(RiskSpec):
     Level 0 reduces to the expectation; levels near 1 approach the maximum.
     """
 
+    kind = "avar"
     alpha: float
 
     def __post_init__(self):
         _check_level(self.alpha)
+
+    def value(self, dist: DiscreteDistribution) -> float:
+        return avar_primal(self.alpha, dist)
+
+    def batch_value(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        return _batch_avar(self.alpha, *_worst_first(probs, outcomes))
+
+    def cap(self) -> float:
+        return 1.0 / (1.0 - self.alpha)
 
 
 @dataclass(frozen=True)
@@ -235,10 +265,22 @@ class MeanDeviation(RiskSpec):
     monotonicity and is rejected.
     """
 
+    kind = "mean_deviation"
     kappa: float
 
     def __post_init__(self):
         _check_kappa(self.kappa)
+
+    def value(self, dist: DiscreteDistribution) -> float:
+        return mean_deviation_primal(self.kappa, dist)
+
+    def batch_value(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        means = outcomes @ probs
+        dev = np.abs(outcomes - means[:, None]) @ probs
+        return means + self.kappa * dev
+
+    def cap(self) -> float:
+        return 1.0 + 2.0 * self.kappa
 
 
 @dataclass(frozen=True)
@@ -249,26 +291,38 @@ class KusuokaMixture(RiskSpec):
     [0, 1), nonnegative weights, and weights summing to one within 1e-12.
     """
 
+    kind = "kusuoka"
     components: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
         components = tuple((float(a), float(w)) for a, w in self.components)
         object.__setattr__(self, "components", components)
-        _check_mixture(components)
+        if len(components) == 0:
+            raise ValueError("mixture needs at least one (level, weight) component")
+        total = 0.0
+        for a, w in components:
+            if not (0.0 <= a < 1.0):
+                raise ValueError(f"mixture level must lie in [0, 1), got {a!r}")
+            if not w >= 0.0:
+                raise ValueError(f"mixture weight must be nonnegative, got {w!r}")
+            total += w
+        if not abs(total - 1.0) <= PROB_TOL:
+            raise ValueError(f"mixture weights sum to {total!r}, not 1")
 
+    def value(self, dist: DiscreteDistribution) -> float:
+        # ``__post_init__`` validated the components
+        return sum(w * avar_primal(a, dist) for a, w in self.components)
 
-def _check_mixture(components: Sequence[Tuple[float, float]]):
-    if len(components) == 0:
-        raise ValueError("mixture needs at least one (level, weight) component")
-    total = 0.0
-    for a, w in components:
-        if not (0.0 <= a < 1.0):
-            raise ValueError(f"mixture level must lie in [0, 1), got {a!r}")
-        if not w >= 0.0:
-            raise ValueError(f"mixture weight must be nonnegative, got {w!r}")
-        total += w
-    if not abs(total - 1.0) <= PROB_TOL:
-        raise ValueError(f"mixture weights sum to {total!r}, not 1")
+    def batch_value(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        # one sort serves every component: ``_tail_take`` leaves it intact
+        sorted_vals, sorted_probs = _worst_first(probs, outcomes)
+        total = np.zeros(outcomes.shape[0])
+        for alpha, weight in self.components:
+            total += weight * _batch_avar(alpha, sorted_vals, sorted_probs)
+        return total
+
+    def cap(self) -> float:
+        return float(sum(w / (1.0 - a) for a, w in self.components))
 
 
 def _check_level(alpha: float):
@@ -313,6 +367,21 @@ def _tail_take(alpha: float, sorted_probs: np.ndarray) -> np.ndarray:
     np.maximum(take, _ZERO, out=take)
     np.minimum(take, sorted_probs, out=take)
     return take
+
+
+def _worst_first(probs: np.ndarray, outcomes: np.ndarray):
+    """Each row of ``outcomes`` and the shared atom probabilities, sorted
+    from worst to best value (ties in atom order)."""
+    order = np.argsort(-outcomes, axis=1, kind="stable")
+    rows = np.arange(outcomes.shape[0])[:, None]
+    return outcomes[rows, order], probs[order]
+
+
+def _batch_avar(alpha: float, sorted_vals: np.ndarray, sorted_probs: np.ndarray) -> np.ndarray:
+    """Tail-average risk of each row of worst-first outcomes, via direct
+    tail-mass collection."""
+    take = _tail_take(alpha, sorted_probs)
+    return (sorted_vals * take).sum(axis=1) / (1.0 - alpha)
 
 
 #: probability vectors of at most this many atoms have their tail takes
@@ -433,52 +502,28 @@ def kusuoka_evaluate(
     """Maximum over a finite family of tail-average mixtures.
 
     Each mixture is a sequence of (level, weight) pairs with weights summing
-    to one; its value is the weighted sum of ``avar_primal`` at each level.
-    The maximum over the supplied family is returned.  An empty family is
-    rejected.
+    to one; its value is its ``KusuokaMixture``'s, the weighted sum of
+    ``avar_primal`` at each level.  The maximum over the supplied family is
+    returned.  An empty family is rejected.
     """
     if len(mixtures) == 0:
         raise ValueError("mixture family must be nonempty")
     best = -np.inf
     for mixture in mixtures:
-        components = tuple((float(a), float(w)) for a, w in mixture)
-        _check_mixture(components)
-        value = sum(w * avar_primal(a, dist) for a, w in components)
         # ``np.maximum`` keeps a NaN member, which Python's ``max`` drops
-        best = np.maximum(best, value)
+        best = np.maximum(best, KusuokaMixture(mixture).value(dist))
     return float(best)
 
 
 def evaluate(spec: RiskSpec, dist: DiscreteDistribution) -> float:
-    """Evaluate a risk specification on a distribution.
-
-    Dispatches to the primal evaluator of each kind; the expectation is the
-    probability-weighted mean, the mixture kind evaluates its single mixture.
-    """
-    if isinstance(spec, Expectation):
-        return float(dist.values.dot(dist.probs)) + 0.0
-    if isinstance(spec, AVaR):
-        return avar_primal(spec.alpha, dist)
-    if isinstance(spec, MeanDeviation):
-        return mean_deviation_primal(spec.kappa, dist)
-    if isinstance(spec, KusuokaMixture):
-        # ``__post_init__`` validated the components
-        return sum(w * avar_primal(a, dist) for a, w in spec.components)
-    raise TypeError(f"unknown risk specification: {spec!r}")
+    """Value of a risk specification on a distribution: ``spec.value``."""
+    return spec.value(dist)
 
 
 def density_cap(spec: RiskSpec) -> float:
-    """Upper bound on the dual density weights of a risk specification.
+    """Upper bound on the dual density weights of ``spec``: ``spec.cap``.
 
     Used for tail bounds: the value of the functional on a nonnegative
     outcome never exceeds ``density_cap(spec)`` times the expectation.
     """
-    if isinstance(spec, Expectation):
-        return 1.0
-    if isinstance(spec, AVaR):
-        return 1.0 / (1.0 - spec.alpha)
-    if isinstance(spec, MeanDeviation):
-        return 1.0 + 2.0 * spec.kappa
-    if isinstance(spec, KusuokaMixture):
-        return float(sum(w / (1.0 - a) for a, w in spec.components))
-    raise TypeError(f"unknown risk specification: {spec!r}")
+    return spec.cap()

@@ -25,11 +25,9 @@ from riskdp.model import (
 )
 from riskdp.oracle import (
     MAX_LP_ATOMS,
-    _batch_risk,
     _first_best_row,
     _unsaturated,
     _vertex_masks,
-    _worst_first,
     avar_lp_oracle,
     exhaustive_policy_search,
 )
@@ -39,6 +37,7 @@ from riskdp.risk import (
     Expectation,
     KusuokaMixture,
     MeanDeviation,
+    _worst_first,
     avar_primal,
 )
 
@@ -76,8 +75,8 @@ def per_rule_search(model, risk, depth):
             block = grown[r * t_count : (r + 1) * t_count]
             for i in range(n):
                 probs, outcomes = reference_outcomes(model, tails, i, rule[i])
-                block[:, i] = model.cost_at(i, rule[i]) + beta * _batch_risk(
-                    risk, probs, outcomes
+                block[:, i] = model.cost_at(i, rule[i]) + beta * risk.batch_value(
+                    probs, outcomes
                 )
         tails = grown
 
@@ -228,7 +227,7 @@ def test_batched_kusuoka_sorts_once_for_every_component(risk, k, rows, seed):
     probs /= probs.sum()
     # rounded outcomes tie, and ties must keep their atom order
     outcomes = rng.uniform(0.0, 5.0, size=(rows, k)).round(rng.integers(0, 3))
-    got = _batch_risk(risk, probs, outcomes)
+    got = risk.batch_value(probs, outcomes)
     assert got.tobytes() == resorting_kusuoka(risk, probs, outcomes).tobytes()
 
 
