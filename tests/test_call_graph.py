@@ -4,8 +4,9 @@ The benchmark (``bench/run.py``) wraps every public function with the span
 tracer of ``bench/spans.py`` and requires the call counts of one
 ``solve`` + ``evaluate`` operation to satisfy the identities of its
 ``count_problems``.  These tests run the same tracer on a small LQ
-``solve`` + ``evaluate`` and on ``verify`` at horizon 1, so a change to the
-call graph fails here in about a second.
+``solve`` + ``evaluate`` (under AVaR and under a Kusuoka mixture) and on
+``verify`` at horizon 1, so a change to the call graph fails here in about a
+second.
 """
 
 import importlib.util
@@ -32,7 +33,7 @@ def load_tracer():
     return module.Tracer
 
 
-def write_lq_config(tmp_path, horizon):
+def write_lq_config(tmp_path, horizon, risk=None):
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -43,7 +44,7 @@ def write_lq_config(tmp_path, horizon):
                         "grid_points": 9, "n_actions": 5, "noise_atoms": 5,
                     }
                 },
-                "risk": {"kind": "avar", "alpha": 0.7},
+                "risk": risk or {"kind": "avar", "alpha": 0.7},
                 "discount": 0.5,
                 "tolerance": 1e-6,
                 "horizon": horizon,
@@ -53,10 +54,12 @@ def write_lq_config(tmp_path, horizon):
     return config
 
 
-def test_traced_counts_follow_the_benchmark_identities(tmp_path):
-    horizon = 4
-    config = write_lq_config(tmp_path, horizon)
-    out = tmp_path / "out"
+def traced_solve_and_evaluate(config):
+    """The tracer of one traced ``solve`` + ``evaluate`` of ``config``, the
+    report it wrote, and the number of (state, action) pairs the operation
+    reads: ``sweeps·n·m`` over value iteration and backward induction plus
+    ``(horizon + 1)·n`` over policy evaluation."""
+    out = config.parent / "out"
     tracer = load_tracer()()
     tracer.install()
     try:
@@ -66,15 +69,19 @@ def test_traced_counts_follow_the_benchmark_identities(tmp_path):
         ) == 0
     finally:
         tracer.uninstall()
-    layer = tracer.layer_metrics(0)
-
     report = json.loads((out / "report.json").read_text())
     n, m = len(report["grid"]), len(report["actions"])
-    sweeps = len(report["report"]["residuals"])
-    n0 = report["report"]["horizon"]
-    assert layer["solver.vi_sweeps"] == sweeps
-    assert layer["solver.backward_sweeps"] == n0 + 1
-    pairs = (sweeps + n0 + 1) * n * m + (horizon + 1) * n
+    sweeps = len(report["report"]["residuals"]) + report["report"]["horizon"] + 1
+    pairs = sweeps * n * m + (report["config"]["horizon"] + 1) * n
+    return tracer, report, pairs
+
+
+def test_traced_counts_follow_the_benchmark_identities(tmp_path):
+    config = write_lq_config(tmp_path, horizon=4)
+    tracer, report, pairs = traced_solve_and_evaluate(config)
+    layer = tracer.layer_metrics(0)
+    assert layer["solver.vi_sweeps"] == len(report["report"]["residuals"])
+    assert layer["solver.backward_sweeps"] == report["report"]["horizon"] + 1
     assert layer["model.successor_calls"] == pairs
     assert layer["model.interpolate_calls"] == layer["model.successor_calls"]
     assert layer["risk.avar_primal_calls"] == layer["risk.evaluate_calls"] == pairs
@@ -86,6 +93,18 @@ def test_traced_counts_follow_the_benchmark_identities(tmp_path):
     # the model table names its builders, so the tracer still sees them
     names = [span[2] for span in tracer.spans]
     assert names.count("model.build_lq") == names.count("cli.build_model") == 2
+
+
+def test_traced_kusuoka_values_call_avar_primal_once_per_component(tmp_path):
+    """A mixture's value calls the module's ``avar_primal`` once per
+    component, where the tracer sees it: a ``value`` holding its own
+    reference to the kernel would count nothing."""
+    components = [[0.0, 0.3], [0.5, 0.4], [0.9, 0.3]]
+    risk = {"kind": "kusuoka", "components": components}
+    tracer, _, pairs = traced_solve_and_evaluate(write_lq_config(tmp_path, 4, risk))
+    layer = tracer.layer_metrics(0)
+    assert layer["risk.evaluate_calls"] == pairs
+    assert layer["risk.avar_primal_calls"] == len(components) * layer["risk.evaluate_calls"]
 
 
 def test_traced_verify_keeps_every_oracle_call(tmp_path, capsys):

@@ -145,6 +145,10 @@ def test_parse_risk_rejects_bad_specs():
         parse_config({**base, "risk": {"kind": "avar"}})
     with pytest.raises(ConfigError, match="config.risk"):
         parse_config({**base, "risk": {"kind": "avar", "alpha": 0.3, "kappa": 0.1}})
+    # an unhashable kind must not reach the kind table's lookup
+    for kind in ([], {}, 1, None):
+        with pytest.raises(ConfigError, match=r"^config\.risk\.kind: unknown kind"):
+            parse_config({**base, "risk": {"kind": kind}})
 
 
 def test_parse_model_rejects_bad_specs():

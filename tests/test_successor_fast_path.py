@@ -956,6 +956,22 @@ def test_a_bad_pair_on_a_fresh_model_raises_before_anything_is_built():
         successor_distribution(masked, 1, 1, np.zeros(2))
 
 
+@pytest.mark.parametrize("built", [False, True])
+def test_a_non_integral_state_index_is_out_of_range(built):
+    """``1.5`` names no pair: it raises the ValueError naming it, and builds
+    nothing on a fresh model.  Integral indices of any type read pair 1."""
+    model, calls = counting_lq()
+    v_next = np.arange(9.0)
+    if built:
+        successor_distribution(model, 0, 0, v_next)
+    structure, n_calls = model._successors, len(calls)
+    with pytest.raises(ValueError, match=r"state index 1\.5 out of range"):
+        successor_distribution(model, 1.5, 0, v_next)
+    assert model._successors is structure and len(calls) == n_calls
+    reads = [successor_distribution(model, i, 0, v_next).atoms for i in (1, np.int64(1), 1.0)]
+    assert reads[0] == reads[1] == reads[2]
+
+
 def test_a_failing_next_state_fails_the_first_read_of_any_pair():
     """A ``next_state`` that raises on one pair raises the same exception at
     the first read of every pair, not only at its own, and leaves nothing
