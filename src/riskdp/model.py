@@ -275,7 +275,8 @@ class MarkovModel:
             # ``1.0``), where ``0 <= 1.5 < n`` would let ``1.5`` through
             if state_index not in range(self._n_states):
                 raise ValueError(f"state index {state_index} out of range")
-            if action_index not in self.actions.indices_for(state_index):
+            # an admissibility mask is a tuple, which ``1.0`` cannot index
+            if action_index not in self.actions.indices_for(int(state_index)):
                 raise ValueError(
                     f"action index {action_index} is not admissible at state {state_index}"
                 )

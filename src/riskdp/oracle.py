@@ -110,63 +110,103 @@ def build_scenario_tree(
 ) -> ScenarioTree:
     """Unroll the transitions reachable under ``policy`` from one root state.
 
-    Raises ``BudgetExceededError`` beyond ``MAX_TREE_NODES`` nodes.
+    Nodes are made depth first, each outcome's blend in grid order.  The
+    action of each (stage, state) the tree reaches is read from the policy
+    and checked once, at the first node that reaches it, and the outcomes of
+    each (state, action) are computed once, with this module's own
+    successor code: the kernel row's support, or the clamped ``next_state``
+    of each noise atom bracketed by ``_bracket``.  Later nodes reuse both.
+
+    Raises ``BudgetExceededError`` at node ``MAX_TREE_NODES + 1``, and the
+    policy's ``ValueError`` at the first node of a stage it has no rule for.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth!r}")
-    if not (0 <= root_index < model.n_states):
+    # holds for an integral index of any type, where ``0 <= 1.5 < n`` would
+    # let ``1.5`` through
+    if root_index not in range(model.n_states):
         raise ValueError(f"root index {root_index} out of range")
     points = model.grid.points
-    counter = [0]
+    xs = points.tolist()
+    admissible = model.actions.indices_for
+    budget = MAX_TREE_NODES
+    n_nodes = 0
+    # (stage, state) -> checked action index; (state, action) -> outcomes,
+    # each an outcome probability and the (grid index, weight) blend it
+    # reaches
+    actions = {}
+    outcomes = {}
 
-    def expand(state_index: int, stage: int) -> TreeNode:
-        counter[0] += 1
-        if counter[0] > MAX_TREE_NODES:
-            raise BudgetExceededError(
-                f"scenario tree exceeds {MAX_TREE_NODES} nodes"
-            )
+    def action_at(stage: int, state_index: int) -> int:
         a_idx = int(policy.rule(stage)[state_index])
-        if a_idx not in model.actions.indices_for(state_index):
+        if a_idx not in admissible(state_index):
             raise ValueError(
                 f"stage {stage} assigns inadmissible action index "
                 f"{a_idx} at state {state_index}"
             )
-        if stage == depth:
-            return TreeNode(state_index, float(points[state_index]), stage, a_idx, ())
-        children = []
+        actions[stage, state_index] = a_idx
+        return a_idx
+
+    def outcomes_of(state_index: int, a_idx: int):
         if isinstance(model.transition, Tabular):
-            row = model.transition.kernel[state_index, a_idx]
-            for j in np.flatnonzero(row > 0.0):
-                child = expand(int(j), stage + 1)
-                children.append((float(row[j]), ((1.0, child),)))
+            row = model.transition.kernel[state_index, a_idx].tolist()
+            found = tuple((p, ((j, 1.0),)) for j, p in enumerate(row) if p > 0.0)
         else:
-            x = float(points[state_index])
+            x = xs[state_index]
             a = float(model.actions.values[a_idx])
             noise = model.transition.noise.dist
-            for xi, prob in zip(noise.values, noise.probs):
-                succ = model.clamp(model.transition.next_state(x, a, float(xi)))
-                blend = tuple(
-                    (weight, expand(j, stage + 1))
-                    for j, weight in _bracket(points, succ)
-                )
-                children.append((float(prob), blend))
-        return TreeNode(state_index, float(points[state_index]), stage, a_idx, tuple(children))
+            next_state = model.transition.next_state
+            found = tuple(
+                (prob, _bracket(points, model.clamp(next_state(x, a, xi))))
+                for xi, prob in zip(noise.values.tolist(), noise.probs.tolist())
+            )
+        outcomes[state_index, a_idx] = found
+        return found
 
-    root = expand(root_index, 0)
-    return ScenarioTree(depth=depth, root=root, n_nodes=counter[0])
+    def expand(state_index: int, stage: int) -> TreeNode:
+        nonlocal n_nodes
+        n_nodes += 1
+        if n_nodes > budget:
+            raise BudgetExceededError(f"scenario tree exceeds {budget} nodes")
+        a_idx = actions.get((stage, state_index))
+        if a_idx is None:
+            a_idx = action_at(stage, state_index)
+        if stage == depth:
+            return TreeNode(state_index, xs[state_index], stage, a_idx, ())
+        found = outcomes.get((state_index, a_idx))
+        if found is None:
+            found = outcomes_of(state_index, a_idx)
+        child_stage = stage + 1
+        children = tuple(
+            [
+                (prob, tuple([(weight, expand(j, child_stage)) for j, weight in blend]))
+                for prob, blend in found
+            ]
+        )
+        return TreeNode(state_index, xs[state_index], stage, a_idx, children)
+
+    root = expand(int(root_index), 0)
+    return ScenarioTree(depth=depth, root=root, n_nodes=n_nodes)
 
 
-def _node_value(model: MarkovModel, risk: RiskSpec, node: TreeNode) -> float:
-    cost = model.cost_at(node.state_index, node.action_index)
-    if not node.children:
-        return cost
-    values = np.empty(len(node.children))
-    probs = np.empty(len(node.children))
-    for k, (prob, blend) in enumerate(node.children):
-        values[k] = sum(w * _node_value(model, risk, child) for w, child in blend)
-        probs[k] = prob
-    dist = DiscreteDistribution(values, probs)
-    return cost + model.discount * evaluate(risk, dist)
+def _node_value(costs: list, beta: float, risk: RiskSpec, node: TreeNode) -> float:
+    """Stage cost of an internal node plus the discounted risk of its
+    children's values; leaf children are read from ``costs`` (the model's
+    ``cost_table.tolist()``) in place of a call each.  Each blend is added
+    from ``0`` in order, as ``sum`` adds it."""
+    values = []
+    probs = []
+    for prob, blend in node.children:
+        total = 0
+        for weight, child in blend:
+            if child.children:
+                total += weight * _node_value(costs, beta, risk, child)
+            else:
+                total += weight * costs[child.state_index][child.action_index]
+        values.append(total)
+        probs.append(prob)
+    dist = DiscreteDistribution(np.array(values, dtype=float), np.array(probs, dtype=float))
+    return costs[node.state_index][node.action_index] + beta * evaluate(risk, dist)
 
 
 def scenario_tree_value(
@@ -179,8 +219,11 @@ def scenario_tree_value(
     risk of the distribution of child values; leaves contribute only their
     stage cost.
     """
-    tree = build_scenario_tree(model, policy, depth, root_index)
-    return _node_value(model, risk, tree.root)
+    root = build_scenario_tree(model, policy, depth, root_index).root
+    costs = model.cost_table.tolist()
+    if not root.children:
+        return costs[root.state_index][root.action_index]
+    return _node_value(costs, model.discount, risk, root)
 
 
 # ---------------------------------------------------------------------------

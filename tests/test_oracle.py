@@ -2,16 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import riskdp.oracle as oracle_mod
 from riskdp.fixtures import (
     random_distribution,
     random_lq_model,
     random_stage_policy,
     random_tabular_model,
 )
-from riskdp.model import build_tabular
+from riskdp.model import (
+    ActionSet,
+    Dynamics,
+    InvestmentParams,
+    LQParams,
+    MarkovModel,
+    StateGrid,
+    Tabular,
+    build_investment,
+    build_lq,
+    build_tabular,
+    quantize_standard_normal,
+)
 from riskdp.oracle import (
     BudgetExceededError,
+    ScenarioTree,
+    TreeNode,
     avar_lp_oracle,
     build_scenario_tree,
     exhaustive_policy_search,
@@ -25,6 +42,7 @@ from riskdp.risk import (
     KusuokaMixture,
     MeanDeviation,
     avar_primal,
+    evaluate,
 )
 from riskdp.solver import Policy, backward_induct, evaluate_policy
 
@@ -85,8 +103,6 @@ def test_tree_structure_invariants(two_state_model):
 
 
 def test_tree_budget_error(monkeypatch):
-    import riskdp.oracle as oracle_mod
-
     # the production budget is a million nodes; exercise the guard with a
     # tiny budget so the test does not have to materialize that many
     assert oracle_mod.MAX_TREE_NODES == 10 ** 6
@@ -130,6 +146,260 @@ def test_tree_rejects_bad_arguments(two_state_model):
         scenario_tree_value(two_state_model, Expectation(), policy, -1, 0)
     with pytest.raises(ValueError):
         scenario_tree_value(two_state_model, Expectation(), policy, 1, 9)
+    # a non-integral root names no state; an integral one of any type does
+    with pytest.raises(ValueError, match=r"root index 1\.5 out of range"):
+        scenario_tree_value(two_state_model, Expectation(), policy, 1, 1.5)
+    expected = build_scenario_tree(two_state_model, policy, 1, 1)
+    for root in (1.0, np.int64(1)):
+        assert build_scenario_tree(two_state_model, policy, 1, root) == expected
+        assert scenario_tree_value(two_state_model, Expectation(), policy, 1, root) == (
+            scenario_tree_value(two_state_model, Expectation(), policy, 1, 1)
+        )
+
+
+# ---------------------------------------------------------------------------
+# scenario trees against the node-by-node recursion they replace
+
+
+def reference_bracket(points, x):
+    """Grid indices and interpolation weights representing position ``x``."""
+    hi = int(np.searchsorted(points, x, side="right"))
+    if hi <= 0:
+        return ((0, 1.0),)
+    if hi >= len(points):
+        return ((len(points) - 1, 1.0),)
+    lo = hi - 1
+    if x == points[lo]:
+        return ((lo, 1.0),)
+    frac = (x - points[lo]) / (points[hi] - points[lo])
+    return ((lo, 1.0 - frac), (hi, frac))
+
+
+def reference_tree(model, policy, depth, root_index):
+    """The scenario tree built node by node: every node reads its stage
+    rule, checks its action and recomputes its successors."""
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth!r}")
+    if not (0 <= root_index < model.n_states):
+        raise ValueError(f"root index {root_index} out of range")
+    points = model.grid.points
+    counter = [0]
+
+    def expand(state_index, stage):
+        counter[0] += 1
+        if counter[0] > oracle_mod.MAX_TREE_NODES:
+            raise BudgetExceededError(
+                f"scenario tree exceeds {oracle_mod.MAX_TREE_NODES} nodes"
+            )
+        a_idx = int(policy.rule(stage)[state_index])
+        if a_idx not in model.actions.indices_for(state_index):
+            raise ValueError(
+                f"stage {stage} assigns inadmissible action index "
+                f"{a_idx} at state {state_index}"
+            )
+        if stage == depth:
+            return TreeNode(state_index, float(points[state_index]), stage, a_idx, ())
+        children = []
+        if isinstance(model.transition, Tabular):
+            row = model.transition.kernel[state_index, a_idx]
+            for j in np.flatnonzero(row > 0.0):
+                child = expand(int(j), stage + 1)
+                children.append((float(row[j]), ((1.0, child),)))
+        else:
+            x = float(points[state_index])
+            a = float(model.actions.values[a_idx])
+            noise = model.transition.noise.dist
+            for xi, prob in zip(noise.values, noise.probs):
+                succ = model.clamp(model.transition.next_state(x, a, float(xi)))
+                blend = tuple(
+                    (weight, expand(j, stage + 1))
+                    for j, weight in reference_bracket(points, succ)
+                )
+                children.append((float(prob), blend))
+        return TreeNode(state_index, float(points[state_index]), stage, a_idx, tuple(children))
+
+    root = expand(root_index, 0)
+    return ScenarioTree(depth=depth, root=root, n_nodes=counter[0])
+
+
+def reference_value(model, risk, node):
+    """The nested value by one recursive call per node."""
+    cost = model.cost_at(node.state_index, node.action_index)
+    if not node.children:
+        return cost
+    values = np.empty(len(node.children))
+    probs = np.empty(len(node.children))
+    for k, (prob, blend) in enumerate(node.children):
+        values[k] = sum(w * reference_value(model, risk, child) for w, child in blend)
+        probs[k] = prob
+    return cost + model.discount * evaluate(risk, DiscreteDistribution(values, probs))
+
+
+def masked(model, admissible):
+    """``model`` with the per-state admissible action indices ``admissible``."""
+    actions = ActionSet(model.actions.values, admissible)
+    return MarkovModel(model.grid, actions, model.transition, model.cost, model.discount)
+
+
+@st.composite
+def tree_models(draw):
+    """Small tabular (sparse rows), LQ or investment models, with or without
+    an admissibility mask; the dynamics grids are narrow enough for the
+    noise to clamp successors at both ends, and may have one noise atom."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tabular", "lq", "investment"]))
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 3))
+    atoms = draw(st.integers(1, 4))
+    beta = draw(st.floats(0.1, 0.9))
+    if kind == "tabular":
+        kernel = rng.random((n, m, n)) * (rng.random((n, m, n)) < 0.5)
+        kernel[..., 0] += 1e-3  # every row keeps some support
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        model = build_tabular(kernel, rng.random((n, m)).round(1), beta)
+    elif kind == "lq":
+        x_lo = draw(st.floats(-2.0, 0.0))
+        params = LQParams(
+            sigma=draw(st.floats(0.0, 2.0)), action_bound=draw(st.floats(0.0, 1.5)),
+            x_lo=x_lo, x_hi=x_lo + draw(st.floats(0.5, 3.0)),
+            grid_points=n, n_actions=m, noise_atoms=atoms,
+        )
+        model = build_lq(params, beta)
+    else:
+        params = InvestmentParams(
+            mu=draw(st.floats(0.0, 0.5)), r=draw(st.floats(0.0, 0.1)),
+            sigma=draw(st.floats(0.0, 1.0)), action_bound=1.0,
+            wealth_lo=0.0, wealth_hi=draw(st.floats(0.5, 3.0)),
+            grid_points=n, n_actions=m, noise_atoms=atoms,
+        )
+        model = build_investment(params, beta)
+    if draw(st.booleans()):
+        model = masked(
+            model,
+            tuple(tuple(a for a in range(m) if a == i % m or rng.random() < 0.5) for i in range(n)),
+        )
+    return model
+
+
+@st.composite
+def tree_policies(draw, model, depth):
+    """Stage rules for up to ``depth + 1`` stages and an optional tail rule.
+    Rules may pick inadmissible actions, and may stop short of ``depth``
+    with no tail, so that both trees raise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loose = draw(st.booleans())
+
+    def rule():
+        return np.array(
+            [
+                int(rng.integers(model.n_actions))
+                if loose
+                else int(rng.choice(model.actions.indices_for(i)))
+                for i in range(model.n_states)
+            ]
+        )
+
+    n_stages = draw(st.integers(0, depth + 1))
+    tail = rule() if n_stages == 0 or draw(st.booleans()) else None
+    return Policy(stages=tuple(rule() for _ in range(n_stages)), tail=tail)
+
+
+def built_or_raised(build, *args):
+    try:
+        return build(*args)
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    tree_models(),
+    st.integers(0, 3),
+    st.sampled_from(
+        [Expectation(), AVaR(0.3), MeanDeviation(0.4), KusuokaMixture(((0.0, 0.5), (0.5, 0.5)))]
+    ),
+)
+def test_tree_matches_the_node_by_node_recursion(data, model, depth, risk):
+    """Equal trees and ``==`` values, and the same exception where the
+    recursion raises one: an inadmissible action or a missing stage rule at
+    a reached node, or a budget overrun, whichever node comes first."""
+    policy = data.draw(tree_policies(model, depth))
+    root = data.draw(st.integers(0, model.n_states - 1))
+    budget = data.draw(st.none() | st.integers(0, 600))
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(oracle_mod, "MAX_TREE_NODES", budget)
+        tree = built_or_raised(build_scenario_tree, model, policy, depth, root)
+        expected = built_or_raised(reference_tree, model, policy, depth, root)
+        assert tree == expected
+        if not isinstance(tree, ScenarioTree):
+            return
+        assert repr(tree) == repr(expected)
+        assert scenario_tree_value(model, risk, policy, depth, root) == reference_value(
+            model, risk, expected.root
+        )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, "MAX_TREE_NODES", tree.n_nodes)
+        assert build_scenario_tree(model, policy, depth, root) == tree
+        patch.setattr(oracle_mod, "MAX_TREE_NODES", tree.n_nodes - 1)
+        with pytest.raises(BudgetExceededError, match=f"exceeds {tree.n_nodes - 1} nodes"):
+            build_scenario_tree(model, policy, depth, root)
+
+
+def test_tree_checks_actions_only_at_reached_states():
+    """State 2 is unreachable from states 0 and 1, and its mask forbids the
+    action the policy gives it: trees from 0 pass, a tree from 2 raises at
+    its root, and a forbidden action at a reached state raises at stage 1."""
+    kernel = np.zeros((3, 2, 3))
+    kernel[:2, :, :2] = 0.5
+    kernel[2, :, 2] = 1.0
+    model = masked(build_tabular(kernel, np.ones((3, 2)), 0.5), ((0, 1), (0, 1), (0,)))
+    policy = Policy.stationary(np.array([1, 0, 1]))
+    for depth in range(4):
+        assert build_scenario_tree(model, policy, depth, 0) == reference_tree(model, policy, depth, 0)
+    with pytest.raises(ValueError, match="stage 0 assigns inadmissible action index 1 at state 2"):
+        build_scenario_tree(model, policy, 2, 2)
+    forbidden = masked(model, ((0, 1), (0,), (0,)))
+    policy = Policy(stages=(np.array([1, 0, 0]), np.array([1, 1, 0])))
+    with pytest.raises(ValueError, match="stage 1 assigns inadmissible action index 1 at state 1"):
+        build_scenario_tree(forbidden, policy, 1, 0)
+    with pytest.raises(ValueError, match="policy defines no decision rule for stage 2"):
+        build_scenario_tree(model, Policy(stages=(np.array([0, 0, 0]),) * 2), 2, 0)
+
+
+def test_tree_computes_each_pair_outcomes_once_with_its_own_successor_code():
+    """``next_state`` runs once per noise atom of each (state, action) with
+    children, and the model's successor structure stays unbuilt."""
+    calls = []
+
+    def next_state(x, a, xi):
+        calls.append((x, a, xi))
+        return x + a + xi
+
+    model = MarkovModel(
+        StateGrid(np.linspace(-2.0, 2.0, 5)),
+        ActionSet(np.linspace(-1.0, 1.0, 3)),
+        Dynamics(next_state, quantize_standard_normal(3)),
+        lambda x, a: x * x + a * a,
+        0.5,
+    )
+    policy = Policy(stages=(np.array([2, 1, 0, 1, 0]), np.array([2, 2, 1, 0, 0])), tail=np.ones(5))
+    tree = build_scenario_tree(model, policy, 3, 0)
+    internal = set()
+
+    def walk(node):
+        if node.children:
+            internal.add((node.state_index, node.action_index))
+            for _, blend in node.children:
+                for _, child in blend:
+                    walk(child)
+
+    walk(tree.root)
+    assert tree.n_nodes > len(internal) > 1
+    assert len(calls) == 3 * len(internal)
+    assert model._successors == {}
+    assert tree == reference_tree(model, policy, 3, 0)
 
 
 # ---------------------------------------------------------------------------

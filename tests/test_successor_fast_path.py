@@ -872,8 +872,9 @@ def test_one_pass_structure_equals_the_per_pair_build_on_fixed_cases():
     assert (1, 0) not in signed._successors and (0, 0) not in tabular._successors
 
 
-def counting_lq():
-    """The 9 x 5 x 5 LQ model with a ``next_state`` that counts its calls."""
+def counting_lq(admissible=None):
+    """The 9 x 5 x 5 LQ model with a ``next_state`` that counts its calls,
+    under the admissibility mask ``admissible``."""
     calls = []
 
     def next_state(x, a, xi):
@@ -883,7 +884,7 @@ def counting_lq():
     noise = quantize_standard_normal(5)
     model = MarkovModel(
         StateGrid(np.linspace(-3.0, 3.0, 9)),
-        ActionSet(np.linspace(-2.0, 2.0, 5)),
+        ActionSet(np.linspace(-2.0, 2.0, 5), admissible),
         Dynamics(next_state, noise),
         lambda x, a: x * x + a * a,
         0.5,
@@ -970,6 +971,27 @@ def test_a_non_integral_state_index_is_out_of_range(built):
     assert model._successors is structure and len(calls) == n_calls
     reads = [successor_distribution(model, i, 0, v_next).atoms for i in (1, np.int64(1), 1.0)]
     assert reads[0] == reads[1] == reads[2]
+
+
+@pytest.mark.parametrize("built", [False, True])
+@pytest.mark.parametrize("mask", [None, ((0, 2),) * 9], ids=["unmasked", "masked"])
+def test_a_float_state_index_reads_its_pair_with_or_without_a_mask(mask, built):
+    """``1.0`` reads pair 1 on a fresh or built model, also where an
+    admissibility mask (a tuple, which a float cannot index) names the
+    admissible actions; ``1.5`` raises the ValueError naming it."""
+    model, calls = counting_lq(mask)
+    v_next = np.arange(9.0)
+    if built:
+        successor_distribution(model, 0, 0, v_next)
+    for a_idx in (0, 2):
+        assert successor_distribution(model, 1.0, a_idx, v_next).atoms == (
+            successor_distribution(model, 1, a_idx, v_next).atoms
+        )
+    with pytest.raises(ValueError, match=r"state index 1\.5 out of range"):
+        successor_distribution(model, 1.5, 0, v_next)
+    if mask is not None:
+        with pytest.raises(ValueError, match="action index 1 is not admissible at state 1.0"):
+            successor_distribution(model, 1.0, 1, v_next)
 
 
 def test_a_failing_next_state_fails_the_first_read_of_any_pair():
