@@ -8,6 +8,13 @@ greedy construction, and the risk-neutral dynamic program recomputes
 expectations with its own interpolation.  Budgets are enforced loudly with
 ``BudgetExceededError``.
 
+The scenario tree still makes and values every node, with one risk
+evaluation per internal node, but builds each tree's per-(stage, state)
+actions and per-(state, action) outcomes once per tree, with its own
+successor code: the kernel row's support, or the clamped ``next_state`` of
+each noise atom bracketed by this module's ``_bracket``.  Its valuation reads
+stage costs from one list and values leaves in place of a call each.
+
 The vertex enumeration still checks every vertex, but forms the candidates
 of all (vertex, fractional coordinate) pairs in one array pass instead of a
 loop over the coordinates.
@@ -193,11 +200,11 @@ def _node_value(costs: list, beta: float, risk: RiskSpec, node: TreeNode) -> flo
     """Stage cost of an internal node plus the discounted risk of its
     children's values; leaf children are read from ``costs`` (the model's
     ``cost_table.tolist()``) in place of a call each.  Each blend is added
-    from ``0`` in order, as ``sum`` adds it."""
+    to ``0.0`` in order, as ``sum`` adds it (a ``-0.0`` term reads ``0.0``)."""
     values = []
     probs = []
     for prob, blend in node.children:
-        total = 0
+        total = 0.0
         for weight, child in blend:
             if child.children:
                 total += weight * _node_value(costs, beta, risk, child)
