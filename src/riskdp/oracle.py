@@ -120,9 +120,7 @@ def build_scenario_tree(
     Nodes are made depth first, each outcome's blend in grid order.  The
     action of each (stage, state) the tree reaches is read from the policy
     and checked once, at the first node that reaches it, and the outcomes of
-    each (state, action) are computed once, with this module's own
-    successor code: the kernel row's support, or the clamped ``next_state``
-    of each noise atom bracketed by ``_bracket``.  Later nodes reuse both.
+    each (state, action) are computed once; later nodes reuse both.
 
     Raises ``BudgetExceededError`` at node ``MAX_TREE_NODES + 1``, and the
     policy's ``ValueError`` at the first node of a stage it has no rule for.

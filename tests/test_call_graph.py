@@ -4,9 +4,9 @@ The benchmark (``bench/run.py``) wraps every public function with the span
 tracer of ``bench/spans.py`` and requires the call counts of one
 ``solve`` + ``evaluate`` operation to satisfy the identities of its
 ``count_problems``.  These tests run the same tracer on a small LQ
-``solve`` + ``evaluate`` (under AVaR and under a Kusuoka mixture) and on
-``verify`` at horizon 1, so a change to the call graph fails here in about a
-second.
+``solve`` + ``evaluate`` (under AVaR and under a Kusuoka mixture), on
+``verify`` at horizon 1 and on two fixed scenario trees, so a change to the
+call graph fails here in about a second.
 """
 
 import importlib.util
@@ -14,7 +14,14 @@ import json
 import os
 import sys
 
+import numpy as np
+import pytest
+
 import riskdp.cli
+import riskdp.oracle
+from riskdp.fixtures import random_stage_policy, random_tabular_model
+from riskdp.model import LQParams, build_lq
+from riskdp.risk import AVaR
 
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 
@@ -135,3 +142,44 @@ def test_traced_verify_keeps_every_oracle_call(tmp_path, capsys):
     # one scenario-tree spot-check per state of each 4-state search model
     assert searches == suites["dp vs exhaustive search"] > 0
     assert spot_checks == 4 * searches
+
+
+def internal_nodes(node):
+    """Number of nodes with children in the tree under ``node``."""
+    if not node.children:
+        return 0
+    return 1 + sum(internal_nodes(child) for _, blend in node.children for _, child in blend)
+
+
+@pytest.mark.parametrize("kind", ["tabular", "lq"])
+def test_traced_scenario_tree_builds_once_and_evaluates_once_per_internal_node(kind):
+    """``scenario_tree_value`` builds one tree and calls ``risk.evaluate``
+    once per internal node, directly, and the tracer's ``oracle.tree_nodes``
+    is the tree's node count."""
+    rng = np.random.default_rng(5)
+    if kind == "tabular":
+        model = random_tabular_model(rng)
+    else:
+        params = LQParams(
+            sigma=0.8, action_bound=1.0, x_lo=-2.0, x_hi=2.0,
+            grid_points=9, n_actions=3, noise_atoms=3,
+        )
+        model = build_lq(params, 0.5)
+    policy = random_stage_policy(rng, model, 4)
+    tree = riskdp.oracle.build_scenario_tree(model, policy, 3, 1)
+    tracer = load_tracer()()
+    tracer.install()
+    try:
+        riskdp.oracle.scenario_tree_value(model, AVaR(0.3), policy, 3, 1)
+    finally:
+        tracer.uninstall()
+    names = [span[2] for span in tracer.spans]
+    parents = {name: [] for name in names}
+    for _, parent, name, _, _ in tracer.spans:
+        parents[name].append(names[parent] if parent >= 0 else None)
+    assert parents["oracle.scenario_tree_value"] == [None]
+    assert parents["oracle.build_scenario_tree"] == ["oracle.scenario_tree_value"]
+    internal = internal_nodes(tree.root)
+    assert internal > 1
+    assert parents["risk.evaluate"] == ["oracle.scenario_tree_value"] * internal
+    assert tracer.layer_metrics(0)["oracle.tree_nodes"] == tree.n_nodes

@@ -960,38 +960,24 @@ def test_a_bad_pair_on_a_fresh_model_raises_before_anything_is_built():
 @pytest.mark.parametrize("built", [False, True])
 def test_a_non_integral_state_index_is_out_of_range(built):
     """``1.5`` names no pair: it raises the ValueError naming it, and builds
-    nothing on a fresh model.  Integral indices of any type read pair 1."""
-    model, calls = counting_lq()
-    v_next = np.arange(9.0)
-    if built:
-        successor_distribution(model, 0, 0, v_next)
-    structure, n_calls = model._successors, len(calls)
-    with pytest.raises(ValueError, match=r"state index 1\.5 out of range"):
-        successor_distribution(model, 1.5, 0, v_next)
-    assert model._successors is structure and len(calls) == n_calls
-    reads = [successor_distribution(model, i, 0, v_next).atoms for i in (1, np.int64(1), 1.0)]
-    assert reads[0] == reads[1] == reads[2]
-
-
-@pytest.mark.parametrize("built", [False, True])
-@pytest.mark.parametrize("mask", [None, ((0, 2),) * 9], ids=["unmasked", "masked"])
-def test_a_float_state_index_reads_its_pair_with_or_without_a_mask(mask, built):
-    """``1.0`` reads pair 1 on a fresh or built model, also where an
-    admissibility mask (a tuple, which a float cannot index) names the
-    admissible actions; ``1.5`` raises the ValueError naming it."""
-    model, calls = counting_lq(mask)
-    v_next = np.arange(9.0)
-    if built:
-        successor_distribution(model, 0, 0, v_next)
-    for a_idx in (0, 2):
-        assert successor_distribution(model, 1.0, a_idx, v_next).atoms == (
-            successor_distribution(model, 1, a_idx, v_next).atoms
-        )
-    with pytest.raises(ValueError, match=r"state index 1\.5 out of range"):
-        successor_distribution(model, 1.5, 0, v_next)
-    if mask is not None:
-        with pytest.raises(ValueError, match="action index 1 is not admissible at state 1.0"):
-            successor_distribution(model, 1.0, 1, v_next)
+    nothing on a fresh model.  Integral indices of any type read pair 1,
+    also where an admissibility mask (a tuple, which ``1.0`` cannot index)
+    names the admissible actions, and ``1.0`` is the first read of a fresh
+    model."""
+    for mask in (None, ((0, 2),) * 9):
+        model, calls = counting_lq(mask)
+        v_next = np.arange(9.0)
+        if built:
+            successor_distribution(model, 0, 0, v_next)
+        structure, n_calls = model._successors, len(calls)
+        with pytest.raises(ValueError, match=r"state index 1\.5 out of range"):
+            successor_distribution(model, 1.5, 0, v_next)
+        assert model._successors is structure and len(calls) == n_calls
+        reads = [successor_distribution(model, i, 0, v_next).atoms for i in (1.0, 1, np.int64(1))]
+        assert reads[0] == reads[1] == reads[2]
+        if mask is not None:
+            with pytest.raises(ValueError, match="action index 1 is not admissible at state 1.0"):
+                successor_distribution(model, 1.0, 1, v_next)
 
 
 def test_a_failing_next_state_fails_the_first_read_of_any_pair():
