@@ -433,21 +433,24 @@ def read_policy_csv(path: str, model: MarkovModel) -> Policy:
                 f"policy file {path!r}: stage {stage} covers {len(rows)} states, "
                 f"model has {model.n_states}"
             )
-        rule = np.empty(model.n_states, dtype=int)
-        for i, ((state, action), x) in enumerate(zip(rows, model.grid.points)):
-            if abs(state - float(x)) > 1e-9:
-                raise ConfigError(
-                    f"policy file {path!r}: stage {stage} row {i} has state "
-                    f"{state!r}, expected grid point {float(x)!r}"
-                )
-            matches = np.flatnonzero(np.abs(model.actions.values - action) <= 1e-12)
-            if len(matches) == 0:
-                raise ConfigError(
-                    f"policy file {path!r}: stage {stage} row {i} action "
-                    f"{action!r} is not in the model's action set"
-                )
-            rule[i] = int(matches[0])
-        return rule
+        states, actions = np.array(rows).T
+        # a NaN, or the inf of a difference that overflows, matches nothing
+        with np.errstate(over="ignore"):
+            state_ok = np.abs(states - model.grid.points) <= 1e-9
+            matches = np.abs(actions[:, None] - model.actions.values) <= 1e-12
+        # the first bad row, or row 0 if none is
+        i = int((state_ok & matches.any(axis=1)).argmin())
+        if not state_ok[i]:
+            raise ConfigError(
+                f"policy file {path!r}: stage {stage} row {i} has state "
+                f"{rows[i][0]!r}, expected grid point {float(model.grid.points[i])!r}"
+            )
+        if not matches[i].any():
+            raise ConfigError(
+                f"policy file {path!r}: stage {stage} row {i} action "
+                f"{rows[i][1]!r} is not in the model's action set"
+            )
+        return matches.argmax(axis=1)
 
     tail = None
     if -1 in staged:

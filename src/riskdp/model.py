@@ -176,9 +176,9 @@ class MarkovModel:
     order, and clamps the results.  Noise atoms of a pair whose clamped
     successor states are bit-identical (often several at each grid end)
     form one group: each pair holds the grid bracket of each distinct
-    state (lower and upper grid index and interpolation weight, and which
-    sit on the last grid point), the group of each atom (``inverse``), each
-    group's probability summed in atom order, and the noise probabilities.
+    state (lower and upper grid index and interpolation weight), the group
+    of each atom (``inverse``), each group's probability summed in atom
+    order, and the noise probabilities.
     For a tabular kernel each pair holds the grid indices of the kernel
     row's support with their probabilities.  A sweep then only reads the
     grid values of the distinct states through the bracket.  The
@@ -340,22 +340,15 @@ class MarkovModel:
             (inverse + offsets[:-1, None]).ravel(), weights=np.tile(noise_probs, len(pairs))
         )
         query = _bracket(self.grid.points, np.take_along_axis(succ, order, axis=1)[first])
-        # each pair's ``ends``, as positions among its own distinct states
-        end_pairs = offsets.searchsorted(query.ends, side="right") - 1
-        ends = query.ends - offsets[end_pairs]
-        for array in (inverse, group_probs, ends):
+        for array in (inverse, group_probs):
             array.setflags(False)
-        end_offsets = query.ends.searchsorted(offsets).tolist()
         offsets = offsets.tolist()
         points, q_lo, q_hi, frac = query.points, query.lo, query.hi, query.frac
         for p, key in enumerate(pairs):
             start, stop = offsets[p], offsets[p + 1]
             probs = group_probs[start:stop]
             _check_probs(probs)
-            pair_query = _GridQuery(
-                points, q_lo[start:stop], q_hi[start:stop], frac[start:stop],
-                ends[end_offsets[p]:end_offsets[p + 1]],
-            )
+            pair_query = _GridQuery(points, q_lo[start:stop], q_hi[start:stop], frac[start:stop])
             successors[key] = (pair_query, noise_probs, inverse[p], probs)
         return successors
 
@@ -387,30 +380,27 @@ class _GridQuery:
     """Fixed query points bracketed on one grid, made by ``_bracket``.
 
     ``read(v)`` interpolates grid values ``v`` at the points as
-    ``v[lo] + frac * (v[hi] - v[lo])``, with ``v[-1]`` at the ``ends``
-    (points on the last grid point, where that form can round).  ``v`` is
-    one value vector or a 2-d stack of them, read row by row.  The arrays
-    are read-only: ``_bracket``'s own, or views of them.
+    ``v[lo] + frac * (v[hi] - v[lo])``.  ``v`` is one value vector or a 2-d
+    stack of them, read row by row.  The arrays are read-only:
+    ``_bracket``'s own, or views of them.
     """
 
-    __slots__ = ("points", "lo", "hi", "frac", "ends")
+    __slots__ = ("points", "lo", "hi", "frac")
 
-    def __init__(self, points, lo, hi, frac, ends):
-        self.points, self.lo, self.hi, self.frac, self.ends = points, lo, hi, frac, ends
+    def __init__(self, points, lo, hi, frac):
+        self.points, self.lo, self.hi, self.frac = points, lo, hi, frac
 
     def read(self, values: np.ndarray) -> np.ndarray:
         # one vector is the solver's hot path, and ``values[..., idx]``
         # gathers several times slower than ``values[idx]``
         if values.ndim == 1:
-            lo, hi = values[self.lo], values[self.hi]
-            out = lo + self.frac * (hi - lo)
-            if len(self.ends):
-                out[self.ends] = values[-1]
-            return out
-        lo, hi = values[:, self.lo], values[:, self.hi]
-        out = lo + self.frac * (hi - lo)
-        if len(self.ends):
-            out[..., self.ends] = values[..., -1:]
+            lo, out = values[self.lo], values[self.hi]
+        else:
+            lo, out = values[:, self.lo], values[:, self.hi]
+        # ``lo + frac * (hi - lo)`` in place, on the gathers' new arrays
+        out -= lo
+        out *= self.frac
+        out += lo
         return out
 
 
@@ -419,27 +409,27 @@ def _bracket(points: np.ndarray, xs: np.ndarray) -> _GridQuery:
     ``points``."""
     xs = np.minimum(np.maximum(xs, points[0]), points[-1])
     # side="right" puts queries that hit a grid point exactly at frac == 0,
-    # so on-grid lookups return the stored value with no rounding
-    hi = points.searchsorted(xs, side="right")
-    hi = np.minimum(np.maximum(hi, 1), len(points) - 1)
+    # so on-grid lookups return the stored value with no rounding (and a
+    # clamped query has at least one point at or below it); the last point
+    # reads ``v[n-1] + 0.0 * 0.0`` too, where ``lo = n - 2`` can round
+    hi = np.minimum(points.searchsorted(xs, side="right"), len(points) - 1)
     lo = hi - 1
     frac = (xs - points[lo]) / (points[hi] - points[lo])
-    ends = np.flatnonzero(xs == points[-1])
-    for array in (lo, hi, frac, ends):
+    top = xs == points[-1]
+    lo[top] = len(points) - 1
+    frac[top] = 0.0
+    for array in (lo, hi, frac):
         array.setflags(False)
-    return _GridQuery(points, lo, hi, frac, ends)
+    return _GridQuery(points, lo, hi, frac)
 
 
 def interpolate(grid, values, x):
     """Piecewise-linear interpolation of grid values, clamping ``x`` to the
     grid range.  ``x`` may be a scalar or an array."""
     if isinstance(x, _GridQuery):
-        # a model's successor bracket, tested first: it is the solver's path
+        # a model's successor bracket, on values ``successor_distribution`` checked
         if x.points is not _grid_points(grid):
             raise ValueError("query was bracketed on another grid")
-        values = np.asarray(values, dtype=float)
-        if values.shape != x.points.shape:
-            raise ValueError("values must align with the grid")
         return x.read(values)
     points = _grid_points(grid)
     values = np.asarray(values, dtype=float)
@@ -494,8 +484,8 @@ def successor_distribution(
     ascending = values[order]
     # a set of Python floats keeps NaNs apart and merges 0.0 with -0.0, as
     # ``!=`` on adjacent sorted values does, and builds faster on a few atoms
-    if len(set(ascending.tolist())) == len(ascending):
-        return DiscreteDistribution._from_ascending(ascending, group_probs[order])
+    if len(set(listed := ascending.tolist())) == len(listed):
+        return DiscreteDistribution._from_ascending(ascending, group_probs[order], listed)
     # a chance tie: distinct successor states read equal values
     return DiscreteDistribution._from_ascending(*_merge_atoms(values[inverse], probs))
 
@@ -508,7 +498,8 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
     come back in sorted order untouched, and merged ones are summed by a
     ``bincount`` over the sorted atoms.  The sort is stable, so each group's
     atoms keep their input order and are added in the order the unsorted
-    ``bincount`` adds them.  Both returned arrays are new.
+    ``bincount`` adds them.  Both returned arrays are new.  The third item,
+    the sorted values as a list before any merge, has the merged two ends.
 
     ``successor_distribution`` merges a tabular row's atoms here, and a
     dynamics pair's atoms only on a chance tie: its grouped probabilities
@@ -518,10 +509,10 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray):
     values = values[order]
     probs = probs[order]
     # ``successor_distribution``'s distinctness test
-    if len(set(values.tolist())) == len(values):
-        return values, probs
+    if len(set(listed := values.tolist())) == len(listed):
+        return values, probs, listed
     keep = np.concatenate(([True], values[1:] != values[:-1]))
-    return values[keep], np.bincount(keep.cumsum() - 1, weights=probs)
+    return values[keep], np.bincount(keep.cumsum() - 1, weights=probs), listed
 
 
 #: largest ``grid_points * n_actions * noise_atoms`` of a parametric model:

@@ -122,8 +122,9 @@ def build_scenario_tree(
     and checked once, at the first node that reaches it, and the outcomes of
     each (state, action) are computed once; later nodes reuse both.
 
-    Raises ``BudgetExceededError`` at node ``MAX_TREE_NODES + 1``, and the
-    policy's ``ValueError`` at the first node of a stage it has no rule for.
+    Raises ``BudgetExceededError`` at node ``MAX_TREE_NODES + 1``, and a
+    ``ValueError`` at the first node of a stage the policy has no rule for,
+    or whose rule does not cover the grid.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth!r}")
@@ -143,7 +144,10 @@ def build_scenario_tree(
     outcomes = {}
 
     def action_at(stage: int, state_index: int) -> int:
-        a_idx = int(policy.rule(stage)[state_index])
+        rule = policy.rule(stage)
+        if rule.shape != points.shape:
+            raise ValueError("policy rules must align with the grid")
+        a_idx = int(rule[state_index])
         if a_idx not in admissible(state_index):
             raise ValueError(
                 f"stage {stage} assigns inadmissible action index "

@@ -95,15 +95,16 @@ class DiscreteDistribution:
         _check_atoms(values, probs)
 
     @classmethod
-    def _from_ascending(cls, values: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
+    def _from_ascending(cls, values: np.ndarray, probs: np.ndarray, listed: list):
         """Distribution over strictly ascending float ``values``, marked as
         such, taking the two arrays over without the dataclass ``__init__``
         and making them read-only, so the order the marker promises cannot
         go stale.
 
-        Only the values are checked here, and only at their two ends: a
-        sorted float array has any ``-inf`` first and any ``+inf`` or NaN
-        last.  The caller, ``riskdp.model.successor_distribution``, checked
+        Only the values are checked here, and only at the two ends of
+        ``listed``, the values (or the sorted values they were merged from)
+        as a list: sorted floats have any ``-inf`` first and any ``+inf`` or
+        NaN last.  The caller, ``riskdp.model.successor_distribution``, checked
         the probabilities with ``_check_probs`` once per pair, when the
         model's successor structure was built.  Each call's ``probs`` are
         those checked probabilities permuted, or sums of subsets of them
@@ -111,7 +112,7 @@ class DiscreteDistribution:
         total differs from the checked total only by the rounding of a
         reordered sum, a few ulps, far inside ``PROB_TOL``.
         """
-        if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+        if not (math.isfinite(listed[0]) and math.isfinite(listed[-1])):
             raise ValueError("atom values must be finite")
         # ``setflags`` takes ``write`` positionally, which numpy parses in
         # well under half the time of the keyword

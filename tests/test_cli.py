@@ -513,6 +513,26 @@ def test_read_policy_csv_rejects_mismatches(tmp_path):
         read_policy_csv(str(path), model)
 
 
+def test_read_policy_csv_rejects_a_nan_state_and_reports_the_first_bad_row(tmp_path):
+    """A NaN state is no grid point.  Of several bad rows the first is
+    reported, and a row with a bad state and a bad action names its state."""
+    model = build_tabular(np.full((3, 2, 3), 1.0 / 3.0), np.ones((3, 2)), 0.5)
+    path = tmp_path / "policy.csv"
+    cases = [
+        ("0,nan,0.0\n0,1.0,0.0\n0,2.0,0.0", "stage 0 row 0 has state nan, expected grid point 0.0"),
+        ("0,0.0,0.0\n0,1.0,0.0\n0,nan,1.0", "stage 0 row 2 has state nan, expected grid point 2.0"),
+        ("-1,0.0,0.0\n-1,nan,7.0\n-1,2.0,0.0", "stage -1 row 1 has state nan"),
+        ("0,0.0,0.0\n0,1.0,5.0\n0,nan,0.0", "stage 0 row 1 action 5.0 is not"),
+        ("0,0.0,nan\n0,1.0,0.0\n0,2.0,0.0", "stage 0 row 0 action nan is not"),
+    ]
+    for rows, message in cases:
+        path.write_text("stage,state,action\n" + rows + "\n")
+        with pytest.raises(ConfigError, match=message):
+            read_policy_csv(str(path), model)
+    path.write_text("stage,state,action\n0,0.0,1.0\n0,1.0,0.0\n0,2.0000000001,1.0\n")
+    assert read_policy_csv(str(path), model).stages[0].tolist() == [1, 0, 1]
+
+
 def test_evaluate_exit_codes(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["evaluate", "-c", config, "-p", str(tmp_path / "absent.csv")]) == 4

@@ -50,10 +50,12 @@ def test_grid_points_are_a_read_only_copy():
 
 def test_cached_successor_arrays_are_read_only(two_state_model):
     model = build_lq(LQParams(1.0, 1.0, -1.0, 1.0, 5, 3, 3), 0.5)
-    # two of the three successors clamp at the top and merge
+    # two of the three successors clamp at the top and merge; the top grid
+    # point brackets as lo == hi with a zero weight
     query, probs, inverse, group_probs = model._successor_support(4, 2)
-    assert len(query.ends) > 0 and len(group_probs) < len(inverse)
-    for array in (query.lo, query.hi, query.frac, query.ends, probs, inverse, group_probs):
+    assert len(group_probs) < len(inverse)
+    assert query.lo[-1] == query.hi[-1] == 4 and query.frac[-1] == 0.0
+    for array in (query.lo, query.hi, query.frac, probs, inverse, group_probs):
         assert not array.flags.writeable
     indices, probs = two_state_model._successor_support(0, 1)
     assert not indices.flags.writeable and not probs.flags.writeable

@@ -149,6 +149,15 @@ def test_tree_rejects_bad_arguments(two_state_model):
     # a non-integral root names no state; an integral one of any type does
     with pytest.raises(ValueError, match=r"root index 1\.5 out of range"):
         scenario_tree_value(two_state_model, Expectation(), policy, 1, 1.5)
+    # rules that do not cover the grid, too short for the root or too long,
+    # raise the error policy evaluation raises for them
+    for rule in ([0], [0, 0, 5]):
+        short = Policy.stationary(rule)
+        with pytest.raises(ValueError, match="policy rules must align with the grid"):
+            evaluate_policy(two_state_model, Expectation(), short, 1)
+        for depth in (0, 1):
+            with pytest.raises(ValueError, match="policy rules must align with the grid"):
+                scenario_tree_value(two_state_model, Expectation(), short, depth, 1)
     expected = build_scenario_tree(two_state_model, policy, 1, 1)
     for root in (1.0, np.int64(1)):
         assert build_scenario_tree(two_state_model, policy, 1, root) == expected

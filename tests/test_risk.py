@@ -512,7 +512,7 @@ def dot_cases(draw):
     if draw(st.booleans()):
         values = np.unique(values)
         probs = probs[: len(values)]
-        dist = DiscreteDistribution._from_ascending(values, probs / probs.sum())
+        dist = DiscreteDistribution._from_ascending(values, probs / probs.sum(), values.tolist())
     else:
         dist = DiscreteDistribution(values, probs / probs.sum())
     alpha = draw(st.sampled_from([0.0, 0.5]) | levels)

@@ -255,9 +255,9 @@ def test_sorted_successors_read_as_an_unsorted_copy_at_the_edges():
 
 def every_atom_successors(model, i, a_idx, v_next):
     """Every noise atom's value, read by the ``np.clip`` form and merged by
-    ``_merge_atoms``."""
+    ``_merge_atoms`` (its merged values and probabilities)."""
     values = clip_interpolate(model.grid.points, v_next, fresh_successors(model, i, a_idx))
-    return model_module._merge_atoms(values, model.transition.noise.dist.probs)
+    return model_module._merge_atoms(values, model.transition.noise.dist.probs)[:2]
 
 
 def assert_chance_ties_merge_as_reference(model, v_next):
@@ -499,6 +499,106 @@ def test_bracket_reads_the_grid_edges_and_interior_grid_points_exactly():
     assert interpolate(grid, values, -1.0) == 3.0
 
 
+def lo_hi_read(points, values, xs):
+    """The read the bracket of the last grid point replaced: ``lo = hi - 1``
+    everywhere, ``v[lo] + frac * (v[hi] - v[lo])``, and ``v[-1]`` written
+    over the queries on the last grid point, where that form can round."""
+    xs = np.minimum(np.maximum(xs, points[0]), points[-1])
+    hi = np.minimum(np.maximum(points.searchsorted(xs, side="right"), 1), len(points) - 1)
+    lo = hi - 1
+    frac = (xs - points[lo]) / (points[hi] - points[lo])
+    out = values[lo] + frac * (values[hi] - values[lo])
+    out[xs == points[-1]] = values[-1]
+    return out
+
+
+def expected_read(points, values, xs):
+    """``lo_hi_read``, except that a -0.0 on the last grid point reads
+    ``-0.0 + 0.0 * 0.0``, which is 0.0, as a -0.0 on an interior grid point
+    always read; ``+ 0.0`` leaves every other value as it is."""
+    out = lo_hi_read(points, values, xs)
+    out[np.minimum(np.maximum(xs, points[0]), points[-1]) == points[-1]] += 0.0
+    return out
+
+
+def finite_values(n):
+    """Finite grid values of any sign and size, signed zeros among them."""
+    special = st.sampled_from([0.0, -0.0, 1.0, 1e16, -3.5, 1e300, -1e300, 5e-324])
+    element = special | st.floats(allow_nan=False, allow_infinity=False)
+    return st.lists(element, min_size=n, max_size=n).map(np.array)
+
+
+def assert_reads_as_lo_hi_form(model, rows, queries):
+    """Each pair's cached read expanded to every atom, a stack read, and the
+    public ``interpolate`` of ``queries`` equal ``expected_read``, byte for
+    byte."""
+    points = model.grid.points
+    # finite values so large that ``v[hi] - v[lo]`` overflows, on either form
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(model.n_states):
+            for a_idx in model.actions.indices_for(i):
+                query, _, inverse, _ = model._successor_support(i, a_idx)
+                succ = fresh_successors(model, i, a_idx)
+                for v in rows:
+                    got = interpolate(model.grid, v, query)[inverse]
+                    assert got.tobytes() == expected_read(points, v, succ).tobytes()
+                stacked = query.read(rows)[:, inverse]
+                want = np.stack([expected_read(points, v, succ) for v in rows])
+                assert stacked.tobytes() == want.tobytes()
+        for v in rows:
+            got = interpolate(model.grid, v, queries)
+            assert got.tobytes() == expected_read(points, v, queries).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_read_equals_the_lo_hi_form_with_its_top_fix_up(data):
+    """The read equals ``lo_hi_read`` bit for bit on finite values, a -0.0
+    on the last grid point aside: on successors that clamp at both ends,
+    hit grid points, or are -0.0, on 2-point grids and with one noise atom,
+    and on public queries beyond both ends, on every grid point and at
+    both zeros."""
+    model = data.draw(
+        st.one_of(lq_models(), investment_models(), tie_models(), masked_user_models())
+    )
+    points = model.grid.points
+    rows = np.stack([data.draw(finite_values(model.n_states)) for _ in range(3)])
+    on_grid = points.tolist() + [-0.0, 0.0, points[0] - 1.0, points[-1] + 1.0]
+    queries = np.array(
+        on_grid
+        + data.draw(st.lists(st.floats(points[0] - 1.0, points[-1] + 1.0), max_size=6))
+    )
+    assert_reads_as_lo_hi_form(model, rows, queries)
+
+
+def test_the_read_equals_the_lo_hi_form_on_fixed_cases():
+    """2-point grids, one noise atom, on-grid successors, a -0.0 successor
+    state next to a 0.0 grid point, and a top value whose ``lo``/``hi`` form
+    rounds."""
+    noise = NoiseModel(DiscreteDistribution(np.array([-1.0, 0.0, 1.0]), np.full(3, 1.0 / 3.0)))
+    signed = MarkovModel(
+        StateGrid(np.array([-1.0, 0.0, 1.0])),
+        ActionSet(np.array([0.0, 1.0])),
+        Dynamics(lambda x, a, xi: math.copysign(x * a, xi) if xi else 5.0 * x, noise),
+        lambda x, a: 0.0,
+        0.5,
+    )
+    # at the top grid point ``v[lo] + 1.0 * (v[hi] - v[lo])`` reads the first
+    # row's 1.0 as 1e16 + (1.0 - 1e16) == 0.0
+    rows = np.array([[3.0, 1e16, 1.0], [-0.0, 0.0, -0.0], [1e300, -1e300, 1.0]])
+    queries = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+    assert_reads_as_lo_hi_form(signed, rows, queries)
+    assert math.copysign(1.0, interpolate(signed.grid, rows[1], 1.0)) == 1.0
+    for params in (
+        LQParams(1.0, 1.0, -1.0, 1.0, 2, 3, 1),
+        LQParams(0.0, 1.0, -1.0, 1.0, 5, 3, 1),
+        LQParams(3.0, 2.0, -0.5, 0.5, 2, 3, 7),
+    ):
+        model = build_lq(params, 0.5)
+        values = np.array([1e16] * (params.grid_points - 1) + [1.0])
+        assert_reads_as_lo_hi_form(model, values[None, :], queries)
+
+
 def test_a_bracket_reads_only_the_grid_it_was_made_on():
     first = build_lq(LQParams(1.0, 1.0, -1.0, 1.0, 5, 3, 3), 0.5)
     second = build_lq(LQParams(1.0, 1.0, -2.0, 2.0, 5, 3, 3), 0.5)
@@ -729,7 +829,8 @@ def per_pair_support(model, i, a_idx):
     the kernel row's support ``(indices, probs)``, or, from the pair's
     fresh successor states, ``np.unique`` of their int64 views, the pair's
     own ``np.bincount`` and the ``np.clip`` form of the bracket as
-    ``(lo, hi, frac, ends, inverse, group_probs)``."""
+    ``(lo, hi, frac, inverse, group_probs)``, where a state on the last grid
+    point brackets as ``lo == hi == n - 1`` with weight 0.0."""
     if isinstance(model.transition, Tabular):
         row = model.transition.kernel[i, a_idx]
         mask = row > 0.0
@@ -748,7 +849,8 @@ def per_pair_support(model, i, a_idx):
     hi = np.clip(np.searchsorted(points, xs, side="right"), 1, len(points) - 1)
     lo = hi - 1
     frac = (xs - points[lo]) / (points[hi] - points[lo])
-    return lo, hi, frac, np.flatnonzero(xs == points[-1]), inverse, group_probs
+    top = xs == points[-1]
+    return np.where(top, hi, lo), hi, np.where(top, 0.0, frac), inverse, group_probs
 
 
 def admissible_pairs(model):
@@ -768,7 +870,7 @@ def assert_structure_as_per_pair(model):
             assert query.points is model.grid.points
             assert probs.tobytes() == model.transition.noise.dist.probs.tobytes()
             assert not probs.flags.writeable
-            got = (query.lo, query.hi, query.frac, query.ends, inverse, group_probs)
+            got = (query.lo, query.hi, query.frac, inverse, group_probs)
         expected = per_pair_support(model, i, a_idx)
         assert len(got) == len(expected)
         for array, want in zip(got, expected):
@@ -867,7 +969,7 @@ def test_one_pass_structure_equals_the_per_pair_build_on_fixed_cases():
     query, _, inverse, group_probs = signed._successor_support(1, 1)
     assert inverse.tolist() == [1, 0, 0, 2, 2, 3]
     assert group_probs.tolist() == [2 / 6, 1 / 6, 2 / 6, 1 / 6]
-    assert query.lo.tolist() == [1, 0, 1, 1] and query.ends.tolist() == [3]
+    assert query.lo.tolist() == [1, 0, 1, 2] and query.hi.tolist() == [2, 1, 2, 2]
     assert [math.copysign(1.0, f) for f in query.frac] == [-1.0, 1.0, 1.0, 1.0]
     assert (1, 0) not in signed._successors and (0, 0) not in tabular._successors
 
