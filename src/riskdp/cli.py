@@ -112,12 +112,8 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """JSON echo of the configuration, defaults included."""
-        if self.model_kind == "tabular":
-            model = {"tabular": self.model_spec}
-        else:
-            model = {self.model_kind: dict(self.model_spec)}
         return {
-            "model": model,
+            "model": {self.model_kind: self.model_spec},
             "risk": _risk_to_json(self.risk),
             "discount": self.discount,
             "epsilon": self.epsilon,
@@ -330,13 +326,10 @@ def build_model(config: RunConfig) -> MarkovModel:
 def compute_c_bar(config: RunConfig, model: MarkovModel, risk: RiskSpec) -> float:
     """Uniform per-stage cost bound used for the horizon selection.
 
-    The wealth model's stage cost is wealth itself, bounded by the grid top;
-    the linear-quadratic bound doubles the worst squared state and adds the
-    dual-cap-scaled noise second moment; tabular models use their largest
-    stage cost.
+    The linear-quadratic bound doubles the worst squared state and adds the
+    dual-cap-scaled noise second moment; the other models use their largest
+    stage cost (the wealth model's is the grid top, its cost being wealth).
     """
-    if config.model_kind == "investment":
-        return model.grid.hi
     if config.model_kind == "lq":
         worst = max(abs(model.grid.lo), abs(model.grid.hi))
         sigma = float(config.model_spec["sigma"])
@@ -354,23 +347,18 @@ def compute_c_bar(config: RunConfig, model: MarkovModel, risk: RiskSpec) -> floa
 
 
 def reference_state_index(config: RunConfig, model: MarkovModel) -> int:
-    """Grid index reported as the representative initial state."""
-    if config.model_kind == "lq":
-        return model.grid.nearest_index(0.0)
-    if config.model_kind == "investment":
-        return model.grid.nearest_index(1.0)
-    return 0
+    """Grid index reported as the representative initial state: the grid
+    point nearest unit wealth for the wealth model, nearest zero otherwise
+    (a tabular model's state 0)."""
+    return model.grid.nearest_index(1.0 if config.model_kind == "investment" else 0.0)
 
 
 def base_stationary_rule(model: MarkovModel) -> np.ndarray:
     """Stationary tail rule: at every state, the admissible action closest
     to zero (lowest index on ties)."""
-    rule = np.empty(model.n_states, dtype=int)
-    for i in range(model.n_states):
-        indices = model.actions.indices_for(i)
-        magnitudes = [abs(float(model.actions.values[a])) for a in indices]
-        rule[i] = indices[int(np.argmin(magnitudes))]
-    return rule
+    # the cost table is NaN exactly at the inadmissible pairs
+    magnitudes = np.abs(model.actions.values)
+    return np.where(np.isnan(model.cost_table), np.inf, magnitudes).argmin(axis=1)
 
 
 # ---------------------------------------------------------------------------

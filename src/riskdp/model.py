@@ -10,6 +10,7 @@ grid points use piecewise-linear interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -164,8 +165,9 @@ class MarkovModel:
 
     The stage cost is validated to be finite and nonnegative on every
     (grid point, admissible action) pair at construction time, and the
-    resulting table is cached.  Instances are treated as immutable after
-    construction.
+    resulting table is cached.  The value bound ``max stage cost / (1 -
+    discount)``, above every value iterate, must be finite.  Instances are
+    treated as immutable after construction.
 
     Relying on that rule, the model also keeps a successor structure: the
     successors of every admissible (state, action) pair.  Construction
@@ -228,6 +230,14 @@ class MarkovModel:
                         "costs must be finite and nonnegative"
                     )
                 table[i, a_idx] = c
+        # a coherent risk of successor values is at most their largest value;
+        # a Python float overflows to inf without numpy's warning
+        worst = float(np.nanmax(table))
+        if worst / (1.0 - float(self.discount)) == math.inf:
+            raise ValueError(
+                f"value bound max stage cost / (1 - discount) overflows: largest "
+                f"stage cost {worst!r} at discount {self.discount!r}"
+            )
         self._cost_table = table
         # filled on the first successor read, by ``_build_successors``
         self._successors = {}
@@ -284,6 +294,19 @@ class MarkovModel:
                 self._successors = self._build_successors()
             support = self._successors[state_index, action_index]
         return support
+
+    def _successor_rows(self, state_index, action_index, stack: np.ndarray):
+        """Atom probabilities of one pair's successors and, per row of the
+        2-d ``stack`` of grid value vectors, the values its atoms read: the
+        kernel row's support for a tabular model, and for dynamics each
+        distinct state's read expanded to every noise atom, in atom order."""
+        support = self._successor_support(state_index, action_index)
+        if isinstance(self.transition, Tabular):
+            indices, probs = support
+            return probs, stack[:, indices]
+        query, probs, inverse, _ = support
+        # C order, as stacked ``interpolate`` rows: ``@`` sums F order otherwise
+        return probs, np.ascontiguousarray(query.read(stack)[:, inverse])
 
     def _build_successors(self):
         """The successors of every admissible pair, keyed by (state index,

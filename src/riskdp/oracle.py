@@ -24,11 +24,11 @@ The exhaustive search still covers every sequence but evaluates each
 Stage 0 is folded into a per-state argmin over those columns instead of a
 stored table, so the largest table it holds is the ``R**depth x n`` tails of
 stage 1 (``R`` rules per stage).  A column is the risk kind's ``batch_value``
-(``riskdp.risk``) over its successor outcomes.  It reads each pair's
-successors from the model's successor structure, which the model's first
-successor read builds for every pair at once, as ``successor_distribution``
-does; the scenario tree and the risk-neutral dynamic program keep their own
-successor code, so the search's scenario-tree spot-check stays a second route.
+(``riskdp.risk``) over its successor outcomes, which the model reads for
+every row of tails at once from the successor structure that
+``successor_distribution`` reads; the scenario tree and the risk-neutral
+dynamic program keep their own successor code, so the search's scenario-tree
+spot-check stays a second route.
 """
 
 from __future__ import annotations
@@ -239,22 +239,6 @@ def scenario_tree_value(
 # exhaustive policy enumeration
 
 
-def _successor_outcomes(
-    model: MarkovModel, tails: np.ndarray, state_index: int, action_index: int
-):
-    """Atom probabilities of one pair's successors and, per row of
-    ``tails``, the values they read: the kernel row's support for a tabular
-    model, the grid bracket ``interpolate`` reads for dynamics."""
-    support = model._successor_support(state_index, action_index)
-    if isinstance(model.transition, Tabular):
-        indices, probs = support
-        return probs, tails[:, indices]
-    query, probs, inverse, _ = support
-    # every atom, in C order as stacked ``interpolate`` rows: ``@`` sums
-    # F order otherwise
-    return probs, np.ascontiguousarray(query.read(tails)[:, inverse])
-
-
 def _first_best_row(block: np.ndarray, after: int) -> Tuple[int, float]:
     """The row of the stage-0 table that ``argmin(axis=0)`` picks in one
     state's column, and its value, from that state's ``(choices, tails)``
@@ -274,7 +258,7 @@ def _first_best_row(block: np.ndarray, after: int) -> Tuple[int, float]:
 
 
 def exhaustive_policy_search(
-    model: MarkovModel, risk: RiskSpec, depth: int, spot_check: bool = True
+    model: MarkovModel, risk: RiskSpec, depth: int
 ) -> Tuple[np.ndarray, List[Tuple[Tuple[int, ...], ...]]]:
     """Minimum nested value over every Markov stage-policy sequence.
 
@@ -286,11 +270,11 @@ def exhaustive_policy_search(
     tails)`` block of its column values, which picks the sequence
     ``argmin(axis=0)`` of the full ``R**(depth + 1) x n`` table would, ties
     and the first NaN included.  The winning value per initial state is
-    optionally re-derived through ``scenario_tree_value`` as a
-    cross-check.  Returns the pointwise-minimal values and, per initial
-    state, the minimizing sequence of stage rules.  The sequence budget is
-    checked before any rule is built, so an oversized model raises
-    ``BudgetExceededError`` at once.
+    re-derived through ``scenario_tree_value`` as a cross-check.  Returns
+    the pointwise-minimal values and, per initial state, the minimizing
+    sequence of stage rules.  The sequence budget is checked before any
+    rule is built, so an oversized model raises ``BudgetExceededError`` at
+    once.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth!r}")
@@ -313,7 +297,7 @@ def exhaustive_policy_search(
 
     def column(tails: np.ndarray, i: int, a_idx: int) -> np.ndarray:
         """Value at state ``i`` of taking ``a_idx`` ahead of each tail."""
-        probs, outcomes = _successor_outcomes(model, tails, i, a_idx)
+        probs, outcomes = model._successor_rows(i, a_idx, tails)
         return model.cost_at(i, a_idx) + beta * risk.batch_value(probs, outcomes)
 
     # tails[t] is the value vector of one policy-tail; peeling stages from
@@ -361,15 +345,14 @@ def exhaustive_policy_search(
 
     best_policies = [decode(row) for row in best_rows]
 
-    if spot_check:
-        for i in range(n):
-            policy = Policy(stages=tuple(np.array(rule) for rule in best_policies[i]))
-            tree_value = scenario_tree_value(model, risk, policy, depth, i)
-            if abs(tree_value - best_values[i]) > 1e-9:
-                raise RuntimeError(
-                    f"batched enumeration disagrees with the scenario tree at "
-                    f"state {i}: {best_values[i]!r} vs {tree_value!r}"
-                )
+    for i in range(n):
+        policy = Policy(stages=tuple(np.array(rule) for rule in best_policies[i]))
+        tree_value = scenario_tree_value(model, risk, policy, depth, i)
+        if abs(tree_value - best_values[i]) > 1e-9:
+            raise RuntimeError(
+                f"batched enumeration disagrees with the scenario tree at "
+                f"state {i}: {best_values[i]!r} vs {tree_value!r}"
+            )
     return best_values, best_policies
 
 

@@ -139,15 +139,27 @@ class HorizonBound(NamedTuple):
     tail: float
 
 
-def _check_value_function(model: MarkovModel, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (model.n_states,):
-        raise ValueError("value function must align with the grid")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("value function must be finite")
-    if np.any(v < 0.0):
-        raise ValueError("value function must be nonnegative")
-    return v
+def _sweep(model: MarkovModel, risk: RiskSpec, v, choices) -> Tuple[np.ndarray, np.ndarray]:
+    """For each state ``i``, the first minimum over the action indices
+    ``choices[i]`` of the stage cost plus the discounted risk of the
+    successor values ``v``, and the action that attains it (-1 where no
+    value is below infinity)."""
+    beta = model.discount
+    costs = model.cost_table.tolist()
+    values = np.empty(model.n_states)
+    rule = np.empty(model.n_states, dtype=int)
+    for i, actions in enumerate(choices):
+        best_q = np.inf
+        best_a = -1
+        for a_idx in actions:
+            dist = successor_distribution(model, i, a_idx, v)
+            q = costs[i][a_idx] + beta * evaluate(risk, dist)
+            if q < best_q:
+                best_q = q
+                best_a = a_idx
+        values[i] = best_q
+        rule[i] = best_a
+    return values, rule
 
 
 def bellman_update(
@@ -160,24 +172,15 @@ def bellman_update(
     Returns the updated values and the minimizing rule; ties go to the
     lowest action index.
     """
-    v_next = _check_value_function(model, v_next)
-    n = model.n_states
-    beta = model.discount
-    costs = model.cost_table.tolist()
-    values = np.empty(n)
-    rule = np.empty(n, dtype=int)
-    for i in range(n):
-        best_q = np.inf
-        best_a = -1
-        for a_idx in model.actions.indices_for(i):
-            dist = successor_distribution(model, i, a_idx, v_next)
-            q = costs[i][a_idx] + beta * evaluate(risk, dist)
-            if q < best_q:
-                best_q = q
-                best_a = a_idx
-        values[i] = best_q
-        rule[i] = best_a
-    return values, rule
+    v_next = np.asarray(v_next, dtype=float)
+    if v_next.shape != (model.n_states,):
+        raise ValueError("value function must align with the grid")
+    if not np.all(np.isfinite(v_next)):
+        raise ValueError("value function must be finite")
+    if np.any(v_next < 0.0):
+        raise ValueError("value function must be nonnegative")
+    choices = [model.actions.indices_for(i) for i in range(model.n_states)]
+    return _sweep(model, risk, v_next, choices)
 
 
 def backward_induct(
@@ -223,7 +226,6 @@ def value_iterate(
     v = np.zeros(model.n_states)
     iterates = [v]
     residuals: List[float] = []
-    rule = np.zeros(model.n_states, dtype=int)
     converged = False
     for _ in range(max_sweeps):
         v_new, rule = bellman_update(model, risk, v)
@@ -287,37 +289,33 @@ def evaluate_policy(
 ) -> np.ndarray:
     """Nested risk-averse value of a fixed policy over stages 0..horizon.
 
-    Backward recursion from the zero terminal value: each stage adds the
-    rule's stage cost plus the discounted risk of the successor values.
-    The policy must define a rule for every stage in the range.
+    Backward recursion from the zero terminal value: each stage is the
+    Bellman sweep with the rule's one action per state, adding its stage
+    cost to the discounted risk of the successor values.  The policy must
+    define a rule for every stage in the range.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     n = model.n_states
-    beta = model.discount
-    costs = model.cost_table.tolist()
     w = np.zeros(n)
     for stage in range(horizon, -1, -1):
         rule = policy.rule(stage)
         if rule.shape != (n,):
             raise ValueError("policy rules must align with the grid")
-        w_new = np.empty(n)
-        for i in range(n):
-            a_idx = int(rule[i])
+        choices = []
+        for i, a_idx in enumerate(rule.tolist()):
             if a_idx not in model.actions.indices_for(i):
                 raise ValueError(
                     f"stage {stage} assigns inadmissible action index "
                     f"{a_idx} at state {i}"
                 )
-            dist = successor_distribution(model, i, a_idx, w)
-            w_new[i] = costs[i][a_idx] + beta * evaluate(risk, dist)
-        w = w_new
+            choices.append((a_idx,))
+        w, _ = _sweep(model, risk, w, choices)
     return w
 
 
 def supersolution_check(v, model: MarkovModel, risk: RiskSpec) -> bool:
     """True when ``v`` dominates its own one-step update pointwise (within
     1e-12), certifying that ``v`` is an upper bound on the optimal value."""
-    v = _check_value_function(model, v)
     updated, _ = bellman_update(model, risk, v)
-    return bool(np.all(v >= updated - 1e-12))
+    return bool(np.all(updated - 1e-12 <= v))

@@ -276,6 +276,12 @@ def test_unreadable_config_text_exits_2(tmp_path, capsys, data):
         ),
         # the LQ stage-cost bound 2 x**2 + 2 sigma**2 cap overflows
         ({"lq": dict(LQ_MODEL["lq"], sigma=1e300)}, "config.model.lq: the stage-cost bound"),
+        # costs up to 1e308 at discount 0.5 bound the values by 2e308, which
+        # overflows before value iteration starts
+        (
+            {"lq": dict(LQ_MODEL["lq"], x_lo=-1e154, x_hi=1e154)},
+            "config.model.lq: value bound max stage cost / (1 - discount) overflows",
+        ),
     ],
     ids=[
         "lq-over-budget",
@@ -284,12 +290,44 @@ def test_unreadable_config_text_exits_2(tmp_path, capsys, data):
         "investment-one-atom-over-pair-budget",
         "growth-overflow",
         "cost-bound-overflow",
+        "value-bound-overflow",
     ],
 )
 def test_model_out_of_budget_or_overflowing_exits_2(tmp_path, capsys, model, fragment):
     config = write_config(tmp_path, model=model)
     assert main(["solve", "-c", config]) == 2
     assert capsys.readouterr().err.startswith(f"error: {fragment}")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["sweep", "--param", "alpha", "--values", "0.5"], ["evaluate", "-p"]],
+    ids=["solve", "sweep", "evaluate"],
+)
+def test_tabular_costs_whose_value_bound_overflows_exit_2(tmp_path, capsys, command):
+    """Every cost 1e308 at discount 0.9 bounds the values by 1e309: the
+    model is rejected, naming it, before any sweep, where value iteration
+    raised on infinite values and ``evaluate`` blamed the policy file."""
+    (tmp_path / "tab.json").write_text(
+        json.dumps(
+            {
+                "states": 2,
+                "actions": 2,
+                "kernel": [[[1.0, 0.0], [0.0, 1.0]]] * 2,
+                "costs": [[1e308, 1e308]] * 2,
+            }
+        )
+    )
+    policy = tmp_path / "policy.csv"
+    policy.write_text("stage,state,action\n-1,0.0,0.0\n-1,1.0,0.0\n")
+    config = write_config(tmp_path, model={"tabular": "tab.json"}, discount=0.9)
+    argv = [command[0], "-c", config, *command[1:]]
+    if command[0] == "evaluate":
+        argv.append(str(policy))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config.model.tabular: value bound max stage cost / (1 - discount) overflows"
+    )
 
 
 # ---------------------------------------------------------------------------

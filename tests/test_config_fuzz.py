@@ -79,6 +79,9 @@ def _found(kind, **fields):
 # an infinite growth factor made zero wealth's successor NaN
 @example(_found("investment", sigma=sys.float_info.max))
 @example(_found("investment", mu=sys.float_info.max))
+# the value bound wealth_hi / (1 - discount) overflowed, and value iteration
+# raised on its infinite values
+@example(_found("investment", wealth_hi=sys.float_info.max))
 def test_solve_on_a_fuzzed_config_returns_a_documented_exit_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

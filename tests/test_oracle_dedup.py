@@ -317,15 +317,16 @@ def test_first_best_row_picks_the_first_nan_of_a_column():
 def test_search_keeps_below_the_stage0_table_it_no_longer_stores():
     """A depth-3 search on ``riskdp verify``'s 4-state, 2-action models
     covers 16**4 sequences; the stage-0 table would be 65,536 x 4 float64
-    values, 2 MiB."""
+    values, 2 MiB.  The peak includes the search's scenario-tree
+    spot-checks."""
     table_bytes = 16**4 * 4 * 8
     rng = np.random.default_rng(11)
     for risk in (Expectation(), AVaR(0.3), MeanDeviation(0.4)):
         model = random_tabular_model(rng)
-        exhaustive_policy_search(model, risk, 0, spot_check=False)  # warm caches
+        exhaustive_policy_search(model, risk, 0)  # warm caches
         tracemalloc.start()
         try:
-            exhaustive_policy_search(model, risk, 3, spot_check=False)
+            exhaustive_policy_search(model, risk, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
