@@ -9,11 +9,12 @@ import pytest
 
 from riskdp.cli import (
     ConfigError,
+    base_stationary_rule,
     main,
     parse_config,
     read_policy_csv,
 )
-from riskdp.model import build_tabular
+from riskdp.model import ActionSet, MarkovModel, StateGrid, Tabular, build_tabular
 from riskdp.risk import AVaR, Expectation, KusuokaMixture, MeanDeviation
 from riskdp.solver import MonotonicityError, Policy
 
@@ -504,6 +505,17 @@ def test_evaluate_round_trip(tmp_path):
     assert np.all(np.isfinite(evaluated))
     assert np.all(evaluated >= 0.0)
     assert (out / "values.csv").read_bytes() != solve_values  # finite horizon
+
+
+def test_base_stationary_rule_takes_the_admissible_action_closest_to_zero():
+    """Inadmissible actions (NaN in the cost table) never win, and ties,
+    -0.0 against 0.0 included, go to the lowest index."""
+    actions = ActionSet(
+        np.array([-1.0, -0.0, 0.0, 0.5, -0.5, 2.0]), admissible=((0, 5), (3, 4), (1, 2), (5,))
+    )
+    kernel = np.full((4, 6, 4), 0.25)
+    model = MarkovModel(StateGrid(np.arange(4.0)), actions, Tabular(kernel), lambda x, a: 1.0, 0.5)
+    assert base_stationary_rule(model).tolist() == [0, 3, 1, 5]
 
 
 def test_read_policy_csv_round_trip(tmp_path):
