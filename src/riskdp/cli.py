@@ -157,7 +157,7 @@ def _parse_risk(doc) -> RiskSpec:
         return cls(**args)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config.risk: {exc}") from exc
 
 
@@ -795,19 +795,22 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         config = load_config(args.config)
-        if args.command == "solve":
-            return cmd_solve(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.policy)
-        if args.command == "verify":
-            return cmd_verify(config, cap_scale=args.corrupt_cap)
-        if args.command == "sweep":
-            try:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"--values: {exc}") from exc
-            return cmd_sweep(config, args.param, values)
-        raise ConfigError(f"unknown command {args.command!r}")
+        try:
+            if args.command == "solve":
+                return cmd_solve(config)
+            if args.command == "evaluate":
+                return cmd_evaluate(config, args.policy)
+            if args.command == "verify":
+                return cmd_verify(config, cap_scale=args.corrupt_cap)
+            if args.command == "sweep":
+                try:
+                    values = [float(v) for v in args.values.split(",") if v.strip()]
+                except ValueError as exc:
+                    raise ConfigError(f"--values: {exc}") from exc
+                return cmd_sweep(config, args.param, values)
+            raise ConfigError(f"unknown command {args.command!r}")
+        except OverflowError as exc:  # a sweep's values left the float range
+            raise ConfigError(f"config.model.{config.model_kind}: {exc}") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

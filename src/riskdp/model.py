@@ -295,18 +295,23 @@ class MarkovModel:
             support = self._successors[state_index, action_index]
         return support
 
-    def _successor_rows(self, state_index, action_index, stack: np.ndarray):
-        """Atom probabilities of one pair's successors and, per row of the
-        2-d ``stack`` of grid value vectors, the values its atoms read: the
-        kernel row's support for a tabular model, and for dynamics each
-        distinct state's read expanded to every noise atom, in atom order."""
-        support = self._successor_support(state_index, action_index)
-        if isinstance(self.transition, Tabular):
-            indices, probs = support
-            return probs, stack[:, indices]
-        query, probs, inverse, _ = support
-        # C order, as stacked ``interpolate`` rows: ``@`` sums F order otherwise
-        return probs, np.ascontiguousarray(query.read(stack)[:, inverse])
+    def _successor_groups(self, stack: np.ndarray):
+        """Each distinct (T, k) block of successor values read from the rows of
+        the 2-d ``stack``, with the (state, action) ``pairs`` reading it and their
+        (P, k) probabilities; tabular pairs whose rows share a support share one."""
+        if not self._successors:
+            self._successors = self._build_successors()
+        if isinstance(self.transition, Dynamics):
+            for pair, (query, probs, inverse, _) in self._successors.items():
+                # C order, as stacked ``interpolate`` rows: ``@`` sums F order otherwise
+                yield np.ascontiguousarray(query.read(stack)[:, inverse]), [pair], probs[None]
+            return
+        groups = {}
+        for pair, (indices, probs) in self._successors.items():
+            groups.setdefault(indices.tobytes(), []).append((pair, indices, probs))
+        for members in groups.values():
+            pairs, indices, probs = zip(*members)
+            yield stack[:, indices[0]], list(pairs), np.array(probs)
 
     def _build_successors(self):
         """The successors of every admissible pair, keyed by (state index,

@@ -20,15 +20,13 @@ of all (vertex, fractional coordinate) pairs in one array pass instead of a
 loop over the coordinates.
 
 The exhaustive search still covers every sequence but evaluates each
-(state, action) column once per stage, then copies it to every rule's block.
-Stage 0 is folded into a per-state argmin over those columns instead of a
-stored table, so the largest table it holds is the ``R**depth x n`` tails of
-stage 1 (``R`` rules per stage).  A column is the risk kind's ``batch_value``
-(``riskdp.risk``) over its successor outcomes, which the model reads for
-every row of tails at once from the successor structure that
-``successor_distribution`` reads; the scenario tree and the risk-neutral
-dynamic program keep their own successor code, so the search's scenario-tree
-spot-check stays a second route.
+(state, action) column once per stage, then copies it to every rule's block;
+stage 0 is one argmin per state over its columns, never a stored table.  The
+model reads each stage's tails once per distinct outcome block, shared by
+every tabular pair whose kernel row has that support, and the risk kind's
+``batch_value`` sorts the block once for all of them.  The scenario tree and
+the risk-neutral dynamic program keep their own successor code, so the
+search's scenario-tree spot-check stays a second route.
 """
 
 from __future__ import annotations
@@ -264,10 +262,12 @@ def exhaustive_policy_search(
 
     All ``R**(depth + 1)`` sequences (``R`` decision rules per stage) are
     covered by a backward recursion batched over policy tails, which
-    computes exactly the per-policy nested value.  Stages ``depth`` to 1
-    are stored as a table of ``R**depth x n`` tail values at most; stage 0
-    is folded into one argmin per initial state over the ``(actions,
-    tails)`` block of its column values, which picks the sequence
+    computes exactly the per-policy nested value.  Each stage evaluates
+    every (state, action) column from one sorted read per outcome block
+    (``MarkovModel._successor_groups`` and a stacked ``batch_value``).
+    Stages ``depth`` to 1 are stored as a table of ``R**depth x n`` tail
+    values at most; stage 0 is one argmin per initial state over the
+    ``(actions, tails)`` block of its columns, which picks the sequence
     ``argmin(axis=0)`` of the full ``R**(depth + 1) x n`` table would, ties
     and the first NaN included.  The winning value per initial state is
     re-derived through ``scenario_tree_value`` as a cross-check.  Returns
@@ -295,10 +295,13 @@ def exhaustive_policy_search(
         )
     beta = model.discount
 
-    def column(tails: np.ndarray, i: int, a_idx: int) -> np.ndarray:
-        """Value at state ``i`` of taking ``a_idx`` ahead of each tail."""
-        probs, outcomes = model._successor_rows(i, a_idx, tails)
-        return model.cost_at(i, a_idx) + beta * risk.batch_value(probs, outcomes)
+    def columns(tails: np.ndarray):
+        """``(i, a_idx, column)``: each pair's ``cost + beta * risk``, in place."""
+        for outcomes, pairs, probs in model._successor_groups(tails):
+            for (i, a_idx), column in zip(pairs, risk.batch_value(probs, outcomes)):
+                column *= beta
+                column += model.cost_at(i, a_idx)
+                yield i, a_idx, column
 
     # tails[t] is the value vector of one policy-tail; peeling stages from
     # the last to stage 1 multiplies the tail count by n_rules each time.
@@ -309,21 +312,21 @@ def exhaustive_policy_search(
     for stage in range(depth, 0, -1):
         t_count = tails.shape[0]
         grown = np.empty((n_rules * t_count, n))
-        for i in range(n):
+        for i, a_idx, column in columns(tails):
             before, after = math.prod(sizes[:i]), math.prod(sizes[i + 1 :])
             # grown viewed as (digits before i, digit i, digits after i,
             # tail, state); the copies below fill grown in place
             blocks = grown.reshape(before, sizes[i], after, t_count, n)
-            for d, a_idx in enumerate(choices[i]):
-                blocks[:, d, :, :, i] = column(tails, i, a_idx)
+            blocks[:, choices[i].index(a_idx), :, :, i] = column
         tails = grown
 
     # stage 0 is never stored: each state's column values, one row per
     # admissible action, give its best row directly
+    found = {(i, a_idx): column for i, a_idx, column in columns(tails)}
     best_rows = []
     best_values = np.empty(n)
     for i in range(n):
-        block = np.array([column(tails, i, a_idx) for a_idx in choices[i]])
+        block = np.array([found[i, a_idx] for a_idx in choices[i]])
         row, best_values[i] = _first_best_row(block, math.prod(sizes[i + 1 :]))
         best_rows.append(row)
 

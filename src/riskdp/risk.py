@@ -11,9 +11,9 @@ Each risk kind is one ``RiskSpec`` class carrying its config name, its value,
 its batched value over outcome rows and its dual density cap.
 
 The tail-average primal and dual share one greedy tail take (``_tail_take``,
-also used batched by ``AVaR.batch_value`` and ``KusuokaMixture.batch_value``,
-which the oracle's exhaustive search calls); the primal reads it through a
-bounded cache per (level, worst-first probabilities).  The dual's value is
+which ``_batch_avar`` runs atoms-major for the exhaustive search's batched
+values); the primal reads it through a bounded cache per (level,
+worst-first probabilities).  The dual's value is
 the expectation under the density it returns, so checking it checks that
 density.  The independent check of both is the vertex-enumeration LP in
 ``riskdp.oracle``.
@@ -212,11 +212,18 @@ class RiskSpec:
     """Base class for one-step risk functional specifications.
 
     Each kind has ``kind``, its config name (a class attribute); ``value(dist)``;
-    ``batch_value(probs, outcomes)``, the value of each row of outcomes under
-    shared probabilities; and ``cap()``, the bound on its dual density weights.
+    ``batch_value(probs, outcomes)``, the value of each row of (T, k) outcomes
+    under (k,) probabilities, or (P, T) values under a (P, k) stack of them
+    (row ``p`` bit for bit the call with ``probs[p]``; the tail-average kinds
+    sort once per call); and ``cap()``, the bound on its dual density weights.
     """
 
     __slots__ = ()
+
+    def batch_value(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        if probs.ndim == 1:
+            return self._batch_one(probs, outcomes)
+        return np.array([self._batch_one(p, outcomes) for p in probs])
 
 
 @dataclass(frozen=True)
@@ -228,7 +235,7 @@ class Expectation(RiskSpec):
     def value(self, dist: DiscreteDistribution) -> float:
         return float(dist.values.dot(dist.probs)) + 0.0
 
-    def batch_value(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    def _batch_one(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         return outcomes @ probs
 
     def cap(self) -> float:
@@ -252,7 +259,7 @@ class AVaR(RiskSpec):
         return avar_primal(self.alpha, dist)
 
     def batch_value(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        return _batch_avar(self.alpha, *_worst_first(probs, outcomes))
+        return _batch_avar(self.alpha, *_worst_first(outcomes), probs)
 
     def cap(self) -> float:
         return 1.0 / (1.0 - self.alpha)
@@ -275,7 +282,7 @@ class MeanDeviation(RiskSpec):
     def value(self, dist: DiscreteDistribution) -> float:
         return mean_deviation_primal(self.kappa, dist)
 
-    def batch_value(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    def _batch_one(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         means = outcomes @ probs
         dev = np.abs(outcomes - means[:, None]) @ probs
         return means + self.kappa * dev
@@ -315,11 +322,11 @@ class KusuokaMixture(RiskSpec):
         return sum(w * avar_primal(a, dist) for a, w in self.components)
 
     def batch_value(self, probs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        # one sort serves every component: ``_tail_take`` leaves it intact
-        sorted_vals, sorted_probs = _worst_first(probs, outcomes)
-        total = np.zeros(outcomes.shape[0])
+        # one sort serves every component and every probability row
+        order, values = _worst_first(outcomes)
+        total = np.zeros(probs.shape[:-1] + outcomes.shape[:1])
         for alpha, weight in self.components:
-            total += weight * _batch_avar(alpha, sorted_vals, sorted_probs)
+            total += weight * _batch_avar(alpha, order, values, probs)
         return total
 
     def cap(self) -> float:
@@ -370,19 +377,39 @@ def _tail_take(alpha: float, sorted_probs: np.ndarray) -> np.ndarray:
     return take
 
 
-def _worst_first(probs: np.ndarray, outcomes: np.ndarray):
-    """Each row of ``outcomes`` and the shared atom probabilities, sorted
-    from worst to best value (ties in atom order)."""
-    order = np.argsort(-outcomes, axis=1, kind="stable")
-    rows = np.arange(outcomes.shape[0])[:, None]
-    return outcomes[rows, order], probs[order]
+def _worst_first(outcomes: np.ndarray):
+    """Each (T, k) outcome row's atom order, worst value first (ties in atom
+    order), in the smallest type indexing k, and its values so: both (k, T)."""
+    k = outcomes.shape[1]
+    order = np.argsort(-outcomes, axis=1, kind="stable").T.astype(np.min_scalar_type(k), order="C")
+    return order, outcomes.take(order + np.arange(0, outcomes.size, k))  # row t starts at t * k
 
 
-def _batch_avar(alpha: float, sorted_vals: np.ndarray, sorted_probs: np.ndarray) -> np.ndarray:
-    """Tail-average risk of each row of worst-first outcomes, via direct
-    tail-mass collection."""
-    take = _tail_take(alpha, sorted_probs)
-    return (sorted_vals * take).sum(axis=1) / (1.0 - alpha)
+def _batch_avar(alpha: float, order, values, probs: np.ndarray) -> np.ndarray:
+    """Tail-average risk of ``_worst_first``'s rows under (k,) probabilities
+    or each row of a (P, k) stack.  ``_tail_take`` and the row sum run one
+    operation per atom over up to 4096 (row, probability row) pairs, never a
+    (P, T, k) array, adding in atom order from 0.0 as numpy's row sum does on
+    at most 7 atoms (on 8 or more it adds pairwise, a few ulps apart)."""
+    t = 1.0 - alpha
+    out = np.empty(probs.shape[:-1] + order.shape[1:])
+    step = max(1, 4096 * probs.shape[-1] // probs.size)
+    buffers = np.empty((4,) + out[..., :step].shape)
+    for lo in range(0, order.shape[1], step):
+        piece = slice(lo, lo + step)
+        total, cum, p, take = buffers[..., : out[..., piece].shape[-1]]
+        total[...] = cum[...] = 0.0
+        for col, vals in zip(order[:, piece], values[:, piece]):
+            probs.take(col, axis=-1, out=p, mode="clip")  # no index clips
+            cum += p
+            np.subtract(cum, p, take)
+            np.subtract(t, take, take)
+            np.maximum(take, _ZERO, out=take)
+            np.minimum(take, p, out=take)
+            take *= vals
+            total += take
+        np.divide(total, t, out[..., piece])
+    return out
 
 
 #: probability vectors of at most this many atoms have their tail takes

@@ -36,7 +36,7 @@ __all__ = [
     "supersolution_check",
 ]
 
-#: slack allowed when asserting pointwise monotonicity of value iterates
+#: slack for pointwise monotonicity of value iterates, times their largest value above 1
 MONOTONE_TOL = 1e-12
 
 
@@ -142,8 +142,8 @@ class HorizonBound(NamedTuple):
 def _sweep(model: MarkovModel, risk: RiskSpec, v, choices) -> Tuple[np.ndarray, np.ndarray]:
     """For each state ``i``, the first minimum over the action indices
     ``choices[i]`` of the stage cost plus the discounted risk of the
-    successor values ``v``, and the action that attains it (-1 where no
-    value is below infinity)."""
+    successor values ``v``, and the action that attains it; raises
+    ``OverflowError`` where none is below infinity."""
     beta = model.discount
     costs = model.cost_table.tolist()
     values = np.empty(model.n_states)
@@ -159,6 +159,8 @@ def _sweep(model: MarkovModel, risk: RiskSpec, v, choices) -> Tuple[np.ndarray, 
                 best_a = a_idx
         values[i] = best_q
         rule[i] = best_a
+    if not np.isfinite(values).all():
+        raise OverflowError(f"values overflow the float range at discount {beta!r}")
     return values, rule
 
 
@@ -170,7 +172,7 @@ def bellman_update(
     For every state the update minimizes, over admissible actions, the stage
     cost plus the discounted risk of the successor-value distribution.
     Returns the updated values and the minimizing rule; ties go to the
-    lowest action index.
+    lowest action index.  Raises ``OverflowError`` when a value overflows.
     """
     v_next = np.asarray(v_next, dtype=float)
     if v_next.shape != (model.n_states,):
@@ -215,7 +217,7 @@ def value_iterate(
     residual is the largest pointwise increment of the latest sweep; the
     returned report carries ``converged=False`` (with the full residual
     history) when ``max_sweeps`` sweeps did not reach that bound.  Iterates
-    are checked to be pointwise nondecreasing.
+    are checked to be pointwise nondecreasing, within ``MONOTONE_TOL``.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -230,7 +232,7 @@ def value_iterate(
     for _ in range(max_sweeps):
         v_new, rule = bellman_update(model, risk, v)
         diff = v_new - v
-        if float(diff.min()) < -MONOTONE_TOL:
+        if float(diff.min()) < -MONOTONE_TOL * max(1.0, float(v_new.max())):
             raise MonotonicityError(
                 "value iterates decreased pointwise; "
                 "the model violates the monotone-iteration contract"

@@ -3,6 +3,7 @@ determinism, and the verification subcommand's fault detection."""
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +147,9 @@ def test_parse_risk_rejects_bad_specs():
         parse_config({**base, "risk": {"kind": "avar"}})
     with pytest.raises(ConfigError, match="config.risk"):
         parse_config({**base, "risk": {"kind": "avar", "alpha": 0.3, "kappa": 0.1}})
+    # an integer too large for a float, which JSON reads exactly
+    with pytest.raises(ConfigError, match=r"^config\.risk: int too large"):
+        parse_config({**base, "risk": {"kind": "kusuoka", "components": [[0.5, 10**400]]}})
     # an unhashable kind must not reach the kind table's lookup
     for kind in ([], {}, 1, None):
         with pytest.raises(ConfigError, match=r"^config\.risk\.kind: unknown kind"):
@@ -328,6 +332,49 @@ def test_tabular_costs_whose_value_bound_overflows_exit_2(tmp_path, capsys, comm
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
         "error: config.model.tabular: value bound max stage cost / (1 - discount) overflows"
+    )
+
+
+#: a kernel on which value iteration from zero at discount 0.1, with every
+#: stage cost at 0.9 times the largest float, overflows by rounding: the
+#: value bound cost / (1 - discount) is the largest finite float itself
+SLIVER_KERNEL = [
+    [[0.35028055339082925, 0.6497194466091707], [0.6999073152674175, 0.30009268473258266]],
+    [[0.045967462533888406, 0.9540325374661117], [0.1679866073448039, 0.8320133926551962]],
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["sweep", "--param", "kappa", "--values", "0.3"], ["evaluate", "-p"]],
+    ids=["solve", "sweep", "evaluate"],
+)
+def test_values_that_overflow_within_the_value_bound_exit_2(tmp_path, capsys, command):
+    """The model passes the value-bound check, but a sweep overflows: the
+    run ends in exit 2 naming the model, where value iteration raised a
+    traceback and ``evaluate`` blamed the policy file."""
+    cost = sys.float_info.max * 0.9
+    assert cost / (1.0 - 0.1) == sys.float_info.max
+    (tmp_path / "tab.json").write_text(
+        json.dumps(
+            {"states": 2, "actions": 2, "kernel": SLIVER_KERNEL, "costs": [[cost, cost]] * 2}
+        )
+    )
+    policy = tmp_path / "policy.csv"
+    policy.write_text("stage,state,action\n-1,0.0,0.0\n-1,1.0,0.0\n")
+    config = write_config(
+        tmp_path,
+        model={"tabular": "tab.json"},
+        risk={"kind": "expectation"},
+        discount=0.1,
+        horizon=50,
+    )
+    argv = [command[0], "-c", config, *command[1:]]
+    if command[0] == "evaluate":
+        argv.append(str(policy))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: config.model.tabular: values overflow the float range"
     )
 
 

@@ -231,27 +231,29 @@ def test_batched_kusuoka_sorts_once_for_every_component(risk, k, rows, seed):
     assert got.tobytes() == resorting_kusuoka(risk, probs, outcomes).tobytes()
 
 
-def take_along_worst_first(probs, outcomes):
-    """Worst-first rows gathered by ``take_along_axis`` over broadcast
-    probabilities."""
+def take_along_worst_first(outcomes):
+    """Worst-first atom order and values of each row, by ``argsort`` and
+    ``take_along_axis``."""
     order = np.argsort(-outcomes, axis=1, kind="stable")
-    sorted_probs = np.take_along_axis(np.broadcast_to(probs, outcomes.shape), order, axis=1)
-    return np.take_along_axis(outcomes, order, axis=1), sorted_probs
+    return order, np.take_along_axis(outcomes, order, axis=1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_worst_first_gathers_as_take_along_axis(k, rows, seed):
+    """The order and values come atoms-major: row ``t``'s are column ``t``;
+    the order is held in the smallest integer type that indexes ``k``."""
     rng = np.random.default_rng(seed)
-    probs = rng.uniform(0.05, 1.0, size=k)
-    probs /= probs.sum()
     # rounded outcomes tie, and ties must keep their atom order
     outcomes = rng.uniform(-5.0, 5.0, size=(rows, k)).round(rng.integers(0, 2))
-    got = _worst_first(probs, outcomes)
-    for array, expected in zip(got, take_along_worst_first(probs, outcomes)):
+    order, values = _worst_first(outcomes)
+    want_order, want_values = take_along_worst_first(outcomes)
+    for array in (order, values):
         assert array.flags.c_contiguous
-        assert array.shape == expected.shape
-        assert array.tobytes() == expected.tobytes()
+        assert array.shape == (k, rows)
+    assert order.dtype == np.min_scalar_type(k)
+    assert np.array_equal(order, want_order.T)
+    assert values.tobytes() == np.ascontiguousarray(want_values.T).tobytes()
 
 
 def stage0_table(blocks, t_count):

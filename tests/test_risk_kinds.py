@@ -1,5 +1,6 @@
 """The contract every risk kind keeps, run over each kind of the CLI's
-``RISKS`` table: its batched value agrees with its value row by row, its
+``RISKS`` table: its batched value agrees with its value row by row, a
+stack of probability rows gives each row's single call bit for bit, its
 config form parses back to an equal spec, its maximising dual density stays
 under its cap, and the table holds every ``RiskSpec`` class."""
 
@@ -84,6 +85,43 @@ def test_batched_value_equals_the_value_of_each_row(kind, level, drawn):
         # make far smaller than the rounding of the sums
         tol = 1e-12 * max(1.0, float(np.abs(row).max()))
         assert abs(got - spec.value(DiscreteDistribution(row, probs))) <= tol
+
+
+@st.composite
+def stacked_rows(draw):
+    """A (P, k) stack of probability rows, one of them maybe repeated, over
+    a (T, k) outcome matrix drawn from a pool of at most three values, so
+    that rows tie; one atom, one outcome row and 8 or more atoms (where
+    numpy's row sum turns pairwise) are drawn often."""
+    k = draw(st.sampled_from([1, 8, 9]) | st.integers(1, 12))
+    rows = draw(st.sampled_from([1]) | st.integers(1, 6))
+    p_count = draw(st.integers(1, 4))
+    weights = np.array(
+        draw(st.lists(st.floats(0.05, 1.0), min_size=p_count * k, max_size=p_count * k))
+    ).reshape(p_count, k)
+    if draw(st.booleans()):
+        weights[-1] = weights[0]
+    pool = draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * k, max_size=rows * k))
+    outcomes = np.array(pool)[picks].reshape(rows, k)
+    if draw(st.booleans()):
+        # a gathered tabular block comes in Fortran order
+        outcomes = np.asfortranarray(outcomes)
+    return weights / weights.sum(axis=1, keepdims=True), outcomes
+
+
+@pytest.mark.parametrize("kind,level", CASES)
+@settings(max_examples=60, deadline=None)
+@given(stacked_rows())
+def test_stacked_batch_value_equals_each_single_call(kind, level, drawn):
+    spec = spec_of(kind, level)
+    probs, outcomes = drawn
+    stacked = spec.batch_value(probs, outcomes)
+    assert stacked.shape == (len(probs), outcomes.shape[0])
+    for p, got in zip(probs, stacked):
+        want = spec.batch_value(p, outcomes)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind,level", CASES)

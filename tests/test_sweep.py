@@ -4,11 +4,12 @@
 per-state sweep; they are compared with test-local copies of the two
 per-state loops that sweep stands in for (the optimality sweep and the
 policy-evaluation stage).  The exhaustive search reads its successor rows
-through the model; that read is compared with a test-local copy of the
-search's former read of the model's per-pair tuples, and the search with
-either read.  Values and rules must match bit for bit on tabular, LQ,
-investment and masked user models, with one-action states, one noise atom
-and 2-point grids among them."""
+through the model, one block per distinct outcome read; that read is
+compared with a test-local read of the model's per-pair tuples, and the
+search with the grouped read against the search with one group per pair.
+Values and rules must match bit for bit on tabular, LQ, investment and
+masked user models, with one-action states, one noise atom and 2-point
+grids among them."""
 
 import math
 from unittest import mock
@@ -81,8 +82,8 @@ def loop_evaluate_policy(model, risk, policy, horizon):
 
 
 def tuple_read(model, stack, i, a_idx):
-    """The search's former read of one pair's successor rows, straight from
-    the model's per-pair tuples."""
+    """One pair's successor rows, read straight from the model's per-pair
+    tuples as the search read them before it read groups of pairs."""
     support = model._successor_support(i, a_idx)
     if isinstance(model.transition, Tabular):
         indices, probs = support
@@ -253,16 +254,32 @@ def test_evaluate_policy_equals_the_per_state_loop(model, risk, horizon, data):
 
 @settings(max_examples=150, deadline=None)
 @given(models, st.data())
-def test_successor_rows_equal_the_tuple_read(model, data):
+def test_successor_groups_equal_the_tuple_read(model, data):
+    """Every admissible pair is read once, in one group whose outcomes are
+    its tuple read's rows (strides and bytes) and whose probability row is
+    its tuple read's probabilities; tabular pairs share a group exactly when
+    their kernel rows have the same support, and dynamics pairs never do."""
     stack = np.stack([value_functions(data.draw, model.n_states) for _ in range(3)])
-    for i in range(model.n_states):
-        for a_idx in model.actions.indices_for(i):
-            probs, rows = model._successor_rows(i, a_idx, stack)
-            want_probs, want_rows = tuple_read(model, stack, i, a_idx)
-            assert probs is want_probs
+    pairs = []
+    for outcomes, group, probs in model._successor_groups(stack):
+        assert probs.shape == (len(group), outcomes.shape[1])
+        for pair, row in zip(group, probs):
+            want_probs, want_rows = tuple_read(model, stack, *pair)
+            assert_same_bits(row, want_probs)
             # the memory order sets the order ``batch_value``'s ``@`` sums in
-            assert rows.strides == want_rows.strides
-            assert_same_bits(rows, want_rows)
+            assert outcomes.strides == want_rows.strides
+            assert_same_bits(outcomes, want_rows)
+        if isinstance(model.transition, Tabular):
+            supports = {model._successor_support(*pair)[0].tobytes() for pair in group}
+            assert len(supports) == 1
+        else:
+            assert len(group) == 1
+        pairs += group
+    admissible = [(i, a) for i in range(model.n_states) for a in model.actions.indices_for(i)]
+    assert sorted(pairs) == admissible
+    if isinstance(model.transition, Tabular):
+        supports = {model._successor_support(*pair)[0].tobytes() for pair in pairs}
+        assert len(supports) == sum(1 for _ in model._successor_groups(stack))
 
 
 def affordable(model, depth):
@@ -279,10 +296,14 @@ def test_exhaustive_search_is_the_same_through_the_model_read(model, risk, depth
         depth -= 1
     values, policies = exhaustive_policy_search(model, risk, depth)
 
-    def former(self, i, a_idx, stack):
-        return tuple_read(self, stack, i, a_idx)
+    def per_pair(self, stack):
+        """Each pair read from its tuple as a group of its own."""
+        for i in range(self.n_states):
+            for a_idx in self.actions.indices_for(i):
+                probs, rows = tuple_read(self, stack, i, a_idx)
+                yield rows, [(i, a_idx)], probs[None]
 
-    with mock.patch.object(MarkovModel, "_successor_rows", former):
+    with mock.patch.object(MarkovModel, "_successor_groups", per_pair):
         want_values, want_policies = exhaustive_policy_search(model, risk, depth)
     assert_same_bits(values, want_values)
     assert policies == want_policies
