@@ -125,6 +125,25 @@ def test_stacked_batch_value_equals_each_single_call(kind, level, drawn):
 
 
 @pytest.mark.parametrize("kind,level", CASES)
+def test_stacked_batch_value_is_the_same_in_pieces(kind, level):
+    """5,000 tied outcome rows: the tail-average kernel takes the stack in
+    pieces of 1,365 rows and each single row in pieces of 4,096, and the
+    piece bounds must not show in any value.  (A ``@`` over a slice of the
+    rows may sum in another order than over all of them, so only the
+    tail-average kinds are compared with slices.)"""
+    spec = spec_of(kind, level)
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet(np.ones(5), size=3)
+    outcomes = rng.integers(0, 4, size=(5000, 5)).astype(float)
+    stacked = spec.batch_value(probs, outcomes)
+    for p, got in zip(probs, stacked):
+        assert got.tobytes() == spec.batch_value(p, outcomes).tobytes()
+    for lo in (0, 1360, 4090) if kind in ("avar", "kusuoka") else ():
+        rows = outcomes[lo : lo + 10]
+        assert stacked[:, lo : lo + 10].tobytes() == spec.batch_value(probs, rows).tobytes()
+
+
+@pytest.mark.parametrize("kind,level", CASES)
 def test_config_form_parses_back_to_an_equal_spec(kind, level):
     spec = spec_of(kind, level)
     base = {"model": {"tabular": "model.json"}, "discount": 0.5}
