@@ -453,7 +453,11 @@ def _bracket(points: np.ndarray, xs: np.ndarray) -> _GridQuery:
 
 def interpolate(grid, values, x):
     """Piecewise-linear interpolation of grid values, clamping ``x`` to the
-    grid range.  ``x`` may be a scalar or an array."""
+    grid range.  ``x`` may be a scalar or an array.
+
+    The values must be finite, and so is every result at a finite ``x``:
+    where the difference of two bracketing values overflows, the point reads
+    the convex form ``(1 - frac) * v[lo] + frac * v[hi]`` instead."""
     if isinstance(x, _GridQuery):
         # a model's successor bracket, on values ``successor_distribution`` checked
         if x.points is not _grid_points(grid):
@@ -463,8 +467,18 @@ def interpolate(grid, values, x):
     values = np.asarray(values, dtype=float)
     if values.shape != points.shape:
         raise ValueError("values must align with the grid")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = _bracket(points, np.atleast_1d(np.asarray(x, dtype=float))).read(values)
+    query = _bracket(points, np.atleast_1d(np.asarray(x, dtype=float)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = query.read(values)
+        wild = ~np.isfinite(out)
+        if wild.any():
+            # only values of opposite signs overflow their difference, and
+            # then the two terms have opposite signs and cannot overflow
+            frac = query.frac[wild]
+            out[wild] = (1.0 - frac) * values[query.lo[wild]] + frac * values[query.hi[wild]]
     return float(out[0]) if scalar else out
 
 

@@ -8,16 +8,17 @@ greedy construction, and the risk-neutral dynamic program recomputes
 expectations with its own interpolation.  Budgets are enforced loudly with
 ``BudgetExceededError``.
 
-The scenario tree still makes and values every node, with one risk
-evaluation per internal node, but builds each tree's per-(stage, state)
+The scenario tree still counts and values every node occurrence, with one
+risk evaluation per internal node, but builds each tree's per-(stage, state)
 actions and per-(state, action) outcomes once per tree, with its own
 successor code: the kernel row's support, or the clamped ``next_state`` of
-each noise atom bracketed by this module's ``_bracket``.  Its valuation reads
-stage costs from one list and values leaves in place of a call each.
+each noise atom bracketed by this module's ``_bracket``.  Last-stage leaves
+are shared records, one per state.  Its valuation reads stage costs from one
+list and values leaves in place of a call each.
 
 The vertex enumeration still checks every vertex, but forms the candidates
-of all (vertex, fractional coordinate) pairs in one array pass instead of a
-loop over the coordinates.
+of all feasible (vertex, fractional coordinate) pairs in one array pass over
+a cached table of the pairs whose coordinate the vertex leaves free.
 
 The exhaustive search still covers every sequence but evaluates each
 (state, action) column once per stage, then copies it to every rule's block;
@@ -77,7 +78,8 @@ class TreeNode:
     together with a blend of successor nodes.  Tabular transitions blend a
     single node with weight one; dynamics blend the two grid nodes that
     bracket the clamped successor state, weighted by linear interpolation.
-    Leaves (at the tree depth) have no children.
+    Leaves (at the tree depth) have no children; a tree holds one leaf
+    record per state and reuses it at every place that state is a leaf.
     """
 
     state_index: int
@@ -89,7 +91,10 @@ class TreeNode:
 
 @dataclass
 class ScenarioTree:
-    """Fully materialized policy tree of a fixed depth."""
+    """Fully materialized policy tree of a fixed depth.
+
+    ``n_nodes`` counts node occurrences, a shared leaf once per place it
+    occurs, as a walk of the tree visits them."""
 
     depth: int
     root: TreeNode
@@ -118,11 +123,14 @@ def build_scenario_tree(
     Nodes are made depth first, each outcome's blend in grid order.  The
     action of each (stage, state) the tree reaches is read from the policy
     and checked once, at the first node that reaches it, and the outcomes of
-    each (state, action) are computed once; later nodes reuse both.
+    each (state, action) are computed once; later nodes reuse both.  A leaf
+    depends only on its state and its checked action, so the leaf of each
+    state at stage ``depth`` is made at its first occurrence and shared by
+    every later one; each occurrence still counts as a node.
 
-    Raises ``BudgetExceededError`` at node ``MAX_TREE_NODES + 1``, and a
-    ``ValueError`` at the first node of a stage the policy has no rule for,
-    or whose rule does not cover the grid.
+    Raises ``BudgetExceededError`` at node occurrence ``MAX_TREE_NODES + 1``,
+    and a ``ValueError`` at the first node of a stage the policy has no rule
+    for, or whose rule does not cover the grid.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth!r}")
@@ -140,6 +148,8 @@ def build_scenario_tree(
     # reaches
     actions = {}
     outcomes = {}
+    # state -> its one leaf record at stage ``depth``
+    leaves = {}
 
     def action_at(stage: int, state_index: int) -> int:
         rule = policy.rule(stage)
@@ -175,11 +185,16 @@ def build_scenario_tree(
         n_nodes += 1
         if n_nodes > budget:
             raise BudgetExceededError(f"scenario tree exceeds {budget} nodes")
+        if stage == depth:
+            leaf = leaves.get(state_index)
+            if leaf is None:
+                a_idx = action_at(stage, state_index)
+                leaf = TreeNode(state_index, xs[state_index], stage, a_idx, ())
+                leaves[state_index] = leaf
+            return leaf
         a_idx = actions.get((stage, state_index))
         if a_idx is None:
             a_idx = action_at(stage, state_index)
-        if stage == depth:
-            return TreeNode(state_index, xs[state_index], stage, a_idx, ())
         found = outcomes.get((state_index, a_idx))
         if found is None:
             found = outcomes_of(state_index, a_idx)
@@ -373,12 +388,14 @@ def _vertex_masks(k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _unsaturated(k: int) -> np.ndarray:
-    """Read-only ``_vertex_masks(k) == 0.0``: the coordinates each vertex
-    leaves free to take the fractional remainder."""
-    free = _vertex_masks(k) == 0.0
-    free.setflags(write=False)
-    return free
+def _free_pairs(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.nonzero(_vertex_masks(k) == 0.0)``: the ``k * 2**(k-1)``
+    (vertex, atom) pairs in which the vertex leaves the atom free to take
+    the fractional remainder, in row-major order."""
+    pairs = np.nonzero(_vertex_masks(k) == 0.0)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 1.0) -> float:
@@ -387,8 +404,8 @@ def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 
     Maximizes the reweighted expectation over densities bounded by
     ``1 / (1 - alpha)`` with unit mass, checking every saturated subset with
     at most one fractional coordinate: the exact-mass subsets, then every
-    feasible (subset, free coordinate) pair of the ``2**k x k`` grid in one
-    array pass.  Limited to ``MAX_LP_ATOMS`` atoms.
+    feasible (subset, free coordinate) pair in one array pass over the
+    cached free pairs of ``_free_pairs``.  Limited to ``MAX_LP_ATOMS`` atoms.
     ``cap_scale`` deliberately mis-scales the density bound and exists only
     as a fault-injection hook for the verification harness.
     """
@@ -410,12 +427,13 @@ def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 
     exact = np.abs(remainder) <= 1e-12
     if np.any(exact):
         best = float(base[exact].max())
-    # every (vertex, fractional coordinate) pair at once; candidates are
-    # formed only at the feasible ones, so an infeasible pair cannot overflow
-    rem = remainder[:, None]
-    vertex, b = np.nonzero(_unsaturated(k) & (rem > 1e-12) & (rem <= cap * probs + 1e-12))
-    if len(vertex):
-        best = max(best, float((base[vertex] + remainder[vertex] * values[b]).max()))
+    # every (vertex, free coordinate) pair at once; candidates are formed
+    # only at the feasible ones, so an infeasible pair cannot overflow
+    vertex, b = _free_pairs(k)
+    rem = remainder[vertex]
+    (at,) = ((rem > 1e-12) & (rem <= (cap * probs + 1e-12)[b])).nonzero()
+    if len(at):
+        best = max(best, float((base[vertex[at]] + rem[at] * values[b[at]]).max()))
     if not np.isfinite(best):
         raise RuntimeError("no feasible dual vertex found")
     return best

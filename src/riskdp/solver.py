@@ -148,17 +148,19 @@ def _sweep(model: MarkovModel, risk: RiskSpec, v, choices) -> Tuple[np.ndarray, 
     costs = model.cost_table.tolist()
     values = np.empty(model.n_states)
     rule = np.empty(model.n_states, dtype=int)
-    for i, actions in enumerate(choices):
-        best_q = np.inf
-        best_a = -1
-        for a_idx in actions:
-            dist = successor_distribution(model, i, a_idx, v)
-            q = costs[i][a_idx] + beta * evaluate(risk, dist)
-            if q < best_q:
-                best_q = q
-                best_a = a_idx
-        values[i] = best_q
-        rule[i] = best_a
+    # a value that overflows is reported below, not warned of by the kernels
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, actions in enumerate(choices):
+            best_q = np.inf
+            best_a = -1
+            for a_idx in actions:
+                dist = successor_distribution(model, i, a_idx, v)
+                q = costs[i][a_idx] + beta * evaluate(risk, dist)
+                if q < best_q:
+                    best_q = q
+                    best_a = a_idx
+            values[i] = best_q
+            rule[i] = best_a
     if not np.isfinite(values).all():
         raise OverflowError(f"values overflow the float range at discount {beta!r}")
     return values, rule

@@ -6,9 +6,12 @@ tracer of ``bench/spans.py`` and requires the call counts of one
 ``count_problems``.  These tests run the same tracer on a small LQ
 ``solve`` + ``evaluate`` (under AVaR and under a Kusuoka mixture), on
 ``verify`` at horizon 1 and on two fixed scenario trees, so a change to the
-call graph fails here in about a second.
+call graph fails here in about a second.  One more runs the benchmark's own
+``verify-oracles`` operation at its default seed and compares every count
+with ``bench/reference.json``, which it only reads.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -23,7 +26,8 @@ from riskdp.fixtures import random_stage_policy, random_tabular_model
 from riskdp.model import LQParams, build_lq
 from riskdp.risk import AVaR
 
-SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+SPANS_PATH = os.path.join(BENCH_DIR, "spans.py")
 
 
 def load_tracer():
@@ -183,3 +187,48 @@ def test_traced_scenario_tree_builds_once_and_evaluates_once_per_internal_node(k
     assert internal > 1
     assert parents["risk.evaluate"] == ["oracle.scenario_tree_value"] * internal
     assert tracer.layer_metrics(0)["oracle.tree_nodes"] == tree.n_nodes
+
+
+
+def test_traced_verify_oracles_operation_has_the_reference_counts(tmp_path, capsys):
+    """The ``verify-oracles`` workload's seed-0 operation (``verify`` of the
+    README's S LQ config under AVaR 0.5 at discount 0.5, horizon 3, seed 0),
+    rebuilt here: its inputs hash to the reference's ``inputs_sha256``, and
+    every integer count of one traced run equals the reference's
+    ``counts``, among them 13,219 scenario-tree nodes, 1,200 vertex-LP
+    calls and 1,966,080 searched sequences."""
+    with open(os.path.join(BENCH_DIR, "reference.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)["verify-oracles"]
+    lq = {
+        "sigma": 1.0, "action_bound": 2.0, "x_lo": -3.0, "x_hi": 3.0,
+        "grid_points": 41, "n_actions": 9, "noise_atoms": 5,
+    }
+    config = {
+        "model": {"lq": lq},
+        "risk": {"kind": "avar", "alpha": 0.5},
+        "discount": 0.5,
+        "horizon": 3,
+        "seed": 0,
+    }
+    texts = {"config.json": json.dumps(config)}
+    templates = [["verify", "-c", "{dir}/config.json"]]
+    digest = hashlib.sha256(json.dumps([texts, templates], sort_keys=True).encode())
+    assert digest.hexdigest() == reference["inputs_sha256"]
+
+    path = tmp_path / "config.json"
+    path.write_text(texts["config.json"])
+    tracer = load_tracer()()
+    tracer.install()
+    try:
+        assert riskdp.cli.main(["verify", "-c", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    layer = tracer.layer_metrics(0)
+    counts = {name: value for name, value in layer.items() if isinstance(value, int)}
+    assert counts == reference["counts"]
+    assert counts["oracle.tree_nodes"] == 13219
+    assert counts["oracle.lp_calls"] == 1200
+    assert counts["risk.evaluate_calls"] == 5094
+    assert counts["risk.avar_primal_calls"] == 3719
+    assert counts["oracle.sequences"] == 1966080

@@ -4,6 +4,7 @@ determinism, and the verification subcommand's fault detection."""
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -352,7 +353,8 @@ SLIVER_KERNEL = [
 def test_values_that_overflow_within_the_value_bound_exit_2(tmp_path, capsys, command):
     """The model passes the value-bound check, but a sweep overflows: the
     run ends in exit 2 naming the model, where value iteration raised a
-    traceback and ``evaluate`` blamed the policy file."""
+    traceback and ``evaluate`` blamed the policy file, and no numpy warning
+    is raised on the way."""
     cost = sys.float_info.max * 0.9
     assert cost / (1.0 - 0.1) == sys.float_info.max
     (tmp_path / "tab.json").write_text(
@@ -372,7 +374,10 @@ def test_values_that_overflow_within_the_value_bound_exit_2(tmp_path, capsys, co
     argv = [command[0], "-c", config, *command[1:]]
     if command[0] == "evaluate":
         argv.append(str(policy))
-    assert main(argv) == 2
+    # numpy's overflow warnings would print before the message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "error: config.model.tabular: values overflow the float range"
     )

@@ -1,7 +1,12 @@
 """Tests for grids, noise quantization, interpolation, and model builders."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskdp.model import (
     ActionSet,
@@ -150,6 +155,52 @@ def test_interpolate_rejects_misaligned_values():
     grid = StateGrid(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         interpolate(grid, np.array([0.0, 1.0, 2.0]), 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_interpolate_rejects_non_finite_values_before_reading_them(bad):
+    grid = StateGrid(np.array([0.0, 1.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.5, 2.0, np.array([0.0, 1.5])):
+            with pytest.raises(ValueError, match="values must be finite"):
+                interpolate(grid, np.array([0.0, bad, 0.0]), x)
+
+
+def test_interpolate_reads_values_whose_difference_overflows():
+    """``v[lo] + frac * (v[hi] - v[lo])`` reads NaN and inf here."""
+    grid = StateGrid(np.array([0.0, 1.0, 2.0]))
+    values = np.array([-1e308, 1e308, 0.0])
+    top = sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert interpolate(grid, values, 0.0) == -1e308
+        assert interpolate(grid, values, 0.5) == 0.0
+        assert interpolate(grid, values, 1.0) == 1e308
+        out = interpolate(grid, np.array([-top, top, -top]), np.linspace(0.0, 2.0, 9))
+    want = [-top, -top / 2, 0.0, top / 2, top, top / 2, 0.0, -top / 2, -top]
+    assert out.tolist() == pytest.approx(want, rel=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([sys.float_info.max, -sys.float_info.max, 1e308, -1e308, -0.0])
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=3,
+        max_size=3,
+    ),
+    st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=8),
+)
+def test_interpolate_is_finite_and_within_its_bracket_on_finite_values(values, xs):
+    grid = StateGrid(np.array([0.0, 1.0, 2.0]))
+    values = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = interpolate(grid, values, np.array(xs))
+    for x, y in zip(np.clip(xs, 0.0, 2.0), out):
+        lo, hi = values[int(min(x, 1.0))], values[min(int(x) + 1, 2)]
+        assert min(lo, hi) <= y <= max(lo, hi)
 
 
 def test_interpolate_bounded_by_bracket(seed=7):

@@ -320,6 +320,23 @@ def built_or_raised(build, *args):
         return type(exc), str(exc)
 
 
+def node_occurrences(node):
+    """Nodes visited by a walk of the tree under ``node``, a shared record
+    counted at every place it occurs."""
+    return 1 + sum(node_occurrences(child) for _, blend in node.children for _, child in blend)
+
+
+def leaf_records(node, depth, found):
+    """Map each state to the leaf record under ``node`` at stage ``depth``,
+    asserting that every leaf of that state is that one record."""
+    if node.stage == depth:
+        assert found.setdefault(node.state_index, node) is node
+    for _, blend in node.children:
+        for _, child in blend:
+            leaf_records(child, depth, found)
+    return found
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.data(),
@@ -332,7 +349,10 @@ def built_or_raised(build, *args):
 def test_tree_matches_the_node_by_node_recursion(data, model, depth, risk):
     """Equal trees and ``==`` values, and the same exception where the
     recursion raises one: an inadmissible action or a missing stage rule at
-    a reached node, or a budget overrun, whichever node comes first."""
+    a reached node, or a budget overrun, whichever node comes first.  Each
+    state's last-stage leaf is one shared record, yet ``n_nodes`` counts
+    every occurrence a walk of the tree visits, and the budget is checked
+    at each: ``n_nodes`` passes and one less raises."""
     policy = data.draw(tree_policies(model, depth))
     root = data.draw(st.integers(0, model.n_states - 1))
     budget = data.draw(st.none() | st.integers(0, 600))
@@ -345,6 +365,8 @@ def test_tree_matches_the_node_by_node_recursion(data, model, depth, risk):
         if not isinstance(tree, ScenarioTree):
             return
         assert repr(tree) == repr(expected)
+        assert node_occurrences(tree.root) == tree.n_nodes
+        assert leaf_records(tree.root, depth, {})
         assert scenario_tree_value(model, risk, policy, depth, root) == reference_value(
             model, risk, expected.root
         )

@@ -26,7 +26,7 @@ from riskdp.model import (
 from riskdp.oracle import (
     MAX_LP_ATOMS,
     _first_best_row,
-    _unsaturated,
+    _free_pairs,
     _vertex_masks,
     avar_lp_oracle,
     exhaustive_policy_search,
@@ -344,10 +344,12 @@ def test_vertex_masks_are_cached_and_read_only():
             masks[0, 0] = 1.0
         expected = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
         assert np.array_equal(masks, expected)
-        free = _unsaturated(k)
-        assert free is _unsaturated(k)
-        assert not free.flags.writeable
-        assert np.array_equal(free, expected == 0.0)
+        pairs = _free_pairs(k)
+        assert pairs is _free_pairs(k)
+        for index, want in zip(pairs, np.nonzero(expected == 0.0)):
+            assert not index.flags.writeable
+            assert np.array_equal(index, want)
+        assert len(pairs[0]) == k * 2 ** (k - 1)
 
 
 def per_coordinate_lp(alpha, dist, cap_scale):

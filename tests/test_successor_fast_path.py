@@ -9,6 +9,7 @@ a bad pair or a failing ``next_state`` raises; and how often a solve checks
 probabilities, brackets successor states and computes tail takes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -503,13 +504,18 @@ def lo_hi_read(points, values, xs):
     """The read the bracket of the last grid point replaced: ``lo = hi - 1``
     everywhere, ``v[lo] + frac * (v[hi] - v[lo])``, and ``v[-1]`` written
     over the queries on the last grid point, where that form can round."""
-    xs = np.minimum(np.maximum(xs, points[0]), points[-1])
-    hi = np.minimum(np.maximum(points.searchsorted(xs, side="right"), 1), len(points) - 1)
-    lo = hi - 1
-    frac = (xs - points[lo]) / (points[hi] - points[lo])
+    xs, lo, hi, frac = lo_hi_bracket(points, xs)
     out = values[lo] + frac * (values[hi] - values[lo])
     out[xs == points[-1]] = values[-1]
     return out
+
+
+def lo_hi_bracket(points, xs):
+    """The clamped queries and their ``lo = hi - 1`` brackets."""
+    xs = np.minimum(np.maximum(xs, points[0]), points[-1])
+    hi = np.minimum(np.maximum(points.searchsorted(xs, side="right"), 1), len(points) - 1)
+    lo = hi - 1
+    return xs, lo, hi, (xs - points[lo]) / (points[hi] - points[lo])
 
 
 def expected_read(points, values, xs):
@@ -521,6 +527,19 @@ def expected_read(points, values, xs):
     return out
 
 
+def public_read(points, values, xs):
+    """``expected_read``, except where the difference of two finite values
+    overflows: there the public ``interpolate`` reads the convex form
+    ``(1 - frac) * v[lo] + frac * v[hi]``, which is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expected_read(points, values, xs)
+    wild = ~np.isfinite(out)
+    _, lo, hi, frac = lo_hi_bracket(points, xs)
+    out[wild] = ((1.0 - frac) * values[lo] + frac * values[hi])[wild]
+    assert np.isfinite(out).all()
+    return out
+
+
 def finite_values(n):
     """Finite grid values of any sign and size, signed zeros among them."""
     special = st.sampled_from([0.0, -0.0, 1.0, 1e16, -3.5, 1e300, -1e300, 5e-324])
@@ -529,9 +548,9 @@ def finite_values(n):
 
 
 def assert_reads_as_lo_hi_form(model, rows, queries):
-    """Each pair's cached read expanded to every atom, a stack read, and the
-    public ``interpolate`` of ``queries`` equal ``expected_read``, byte for
-    byte."""
+    """Each pair's cached read expanded to every atom and a stack read equal
+    ``expected_read``, and the public ``interpolate`` of ``queries`` equals
+    ``public_read``, byte for byte."""
     points = model.grid.points
     # finite values so large that ``v[hi] - v[lo]`` overflows, on either form
     with np.errstate(over="ignore", invalid="ignore"):
@@ -545,9 +564,11 @@ def assert_reads_as_lo_hi_form(model, rows, queries):
                 stacked = query.read(rows)[:, inverse]
                 want = np.stack([expected_read(points, v, succ) for v in rows])
                 assert stacked.tobytes() == want.tobytes()
-        for v in rows:
+    for v in rows:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = interpolate(model.grid, v, queries)
-            assert got.tobytes() == expected_read(points, v, queries).tobytes()
+        assert got.tobytes() == public_read(points, v, queries).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
