@@ -9,12 +9,12 @@ expectations with its own interpolation.  Budgets are enforced loudly with
 ``BudgetExceededError``.
 
 The scenario tree still counts and values every node occurrence, with one
-risk evaluation per internal node, but builds each tree's per-(stage, state)
-actions and per-(state, action) outcomes once per tree, with its own
-successor code: the kernel row's support, or the clamped ``next_state`` of
-each noise atom bracketed by this module's ``_bracket``.  Last-stage leaves
-are shared records, one per state.  Its valuation reads stage costs from one
-list and values leaves in place of a call each.
+risk evaluation per internal node, but makes one shared record per
+(stage, state) and computes each (state, action)'s outcomes once per tree,
+with its own successor code: the kernel row's support, or the clamped
+``next_state`` of each noise atom bracketed by this module's ``_bracket``.
+Its valuation walks every occurrence, reads stage costs from one list and
+values leaves in place of a call each.
 
 The vertex enumeration still checks every vertex, but forms the candidates
 of all feasible (vertex, fractional coordinate) pairs in one array pass over
@@ -78,8 +78,8 @@ class TreeNode:
     together with a blend of successor nodes.  Tabular transitions blend a
     single node with weight one; dynamics blend the two grid nodes that
     bracket the clamped successor state, weighted by linear interpolation.
-    Leaves (at the tree depth) have no children; a tree holds one leaf
-    record per state and reuses it at every place that state is a leaf.
+    Leaves (at the tree depth) have no children.  A tree holds one record
+    per (stage, state) and reuses it at every place that pair occurs.
     """
 
     state_index: int
@@ -93,7 +93,7 @@ class TreeNode:
 class ScenarioTree:
     """Fully materialized policy tree of a fixed depth.
 
-    ``n_nodes`` counts node occurrences, a shared leaf once per place it
+    ``n_nodes`` counts node occurrences, a shared record once per place it
     occurs, as a walk of the tree visits them."""
 
     depth: int
@@ -120,13 +120,15 @@ def build_scenario_tree(
 ) -> ScenarioTree:
     """Unroll the transitions reachable under ``policy`` from one root state.
 
-    Nodes are made depth first, each outcome's blend in grid order.  The
-    action of each (stage, state) the tree reaches is read from the policy
-    and checked once, at the first node that reaches it, and the outcomes of
-    each (state, action) are computed once; later nodes reuse both.  A leaf
-    depends only on its state and its checked action, so the leaf of each
-    state at stage ``depth`` is made at its first occurrence and shared by
-    every later one; each occurrence still counts as a node.
+    Nodes are made depth first, each outcome's blend in grid order.  Under a
+    Markov policy a node and everything below it depend only on its stage
+    and state, so each (stage, state) the tree reaches is made once, at its
+    first occurrence, as one record that every later occurrence shares: the
+    tree is held as a graph of at most ``(depth + 1) * n`` records.  Its
+    action is read from the policy and checked at that first occurrence, and
+    the outcomes of each (state, action) are computed once.  ``n_nodes``
+    still counts every node occurrence, in the depth-first order a walk of
+    the tree visits them, a shared record once per place it occurs.
 
     Raises ``BudgetExceededError`` at node occurrence ``MAX_TREE_NODES + 1``,
     and a ``ValueError`` at the first node of a stage the policy has no rule
@@ -143,26 +145,11 @@ def build_scenario_tree(
     admissible = model.actions.indices_for
     budget = MAX_TREE_NODES
     n_nodes = 0
-    # (stage, state) -> checked action index; (state, action) -> outcomes,
-    # each an outcome probability and the (grid index, weight) blend it
-    # reaches
-    actions = {}
+    # (state, action) -> outcomes, each an outcome probability and the
+    # (grid index, weight) blend it reaches
     outcomes = {}
-    # state -> its one leaf record at stage ``depth``
-    leaves = {}
-
-    def action_at(stage: int, state_index: int) -> int:
-        rule = policy.rule(stage)
-        if rule.shape != points.shape:
-            raise ValueError("policy rules must align with the grid")
-        a_idx = int(rule[state_index])
-        if a_idx not in admissible(state_index):
-            raise ValueError(
-                f"stage {stage} assigns inadmissible action index "
-                f"{a_idx} at state {state_index}"
-            )
-        actions[stage, state_index] = a_idx
-        return a_idx
+    # (stage, state) -> its record and the node occurrences of its subtree
+    made = {}
 
     def outcomes_of(state_index: int, a_idx: int):
         if isinstance(model.transition, Tabular):
@@ -182,30 +169,39 @@ def build_scenario_tree(
 
     def expand(state_index: int, stage: int) -> TreeNode:
         nonlocal n_nodes
-        n_nodes += 1
+        # a shared subtree was made without error, so the budget is the only
+        # check its occurrences can fail, and it fails at the same node
+        known = made.get((stage, state_index))
+        n_nodes += known[1] if known else 1
         if n_nodes > budget:
             raise BudgetExceededError(f"scenario tree exceeds {budget} nodes")
-        if stage == depth:
-            leaf = leaves.get(state_index)
-            if leaf is None:
-                a_idx = action_at(stage, state_index)
-                leaf = TreeNode(state_index, xs[state_index], stage, a_idx, ())
-                leaves[state_index] = leaf
-            return leaf
-        a_idx = actions.get((stage, state_index))
-        if a_idx is None:
-            a_idx = action_at(stage, state_index)
-        found = outcomes.get((state_index, a_idx))
-        if found is None:
-            found = outcomes_of(state_index, a_idx)
-        child_stage = stage + 1
-        children = tuple(
-            [
-                (prob, tuple([(weight, expand(j, child_stage)) for j, weight in blend]))
-                for prob, blend in found
-            ]
-        )
-        return TreeNode(state_index, xs[state_index], stage, a_idx, children)
+        if known:
+            return known[0]
+        first = n_nodes
+        rule = policy.rule(stage)
+        if rule.shape != points.shape:
+            raise ValueError("policy rules must align with the grid")
+        a_idx = int(rule[state_index])
+        if a_idx not in admissible(state_index):
+            raise ValueError(
+                f"stage {stage} assigns inadmissible action index "
+                f"{a_idx} at state {state_index}"
+            )
+        children = ()
+        if stage < depth:
+            found = outcomes.get((state_index, a_idx))
+            if found is None:
+                found = outcomes_of(state_index, a_idx)
+            child_stage = stage + 1
+            children = tuple(
+                [
+                    (prob, tuple([(weight, expand(j, child_stage)) for j, weight in blend]))
+                    for prob, blend in found
+                ]
+            )
+        node = TreeNode(state_index, xs[state_index], stage, a_idx, children)
+        made[stage, state_index] = (node, n_nodes - first + 1)
+        return node
 
     root = expand(int(root_index), 0)
     return ScenarioTree(depth=depth, root=root, n_nodes=n_nodes)

@@ -326,14 +326,13 @@ def node_occurrences(node):
     return 1 + sum(node_occurrences(child) for _, blend in node.children for _, child in blend)
 
 
-def leaf_records(node, depth, found):
-    """Map each state to the leaf record under ``node`` at stage ``depth``,
-    asserting that every leaf of that state is that one record."""
-    if node.stage == depth:
-        assert found.setdefault(node.state_index, node) is node
+def shared_records(node, found):
+    """Map each (stage, state) under ``node`` to its record, asserting that
+    every node of that pair is that one record."""
+    assert found.setdefault((node.stage, node.state_index), node) is node
     for _, blend in node.children:
         for _, child in blend:
-            leaf_records(child, depth, found)
+            shared_records(child, found)
     return found
 
 
@@ -350,9 +349,9 @@ def test_tree_matches_the_node_by_node_recursion(data, model, depth, risk):
     """Equal trees and ``==`` values, and the same exception where the
     recursion raises one: an inadmissible action or a missing stage rule at
     a reached node, or a budget overrun, whichever node comes first.  Each
-    state's last-stage leaf is one shared record, yet ``n_nodes`` counts
-    every occurrence a walk of the tree visits, and the budget is checked
-    at each: ``n_nodes`` passes and one less raises."""
+    (stage, state) is one shared record, yet ``n_nodes`` counts every
+    occurrence a walk of the tree visits, and the budget is checked at
+    each: ``n_nodes`` passes and one less raises."""
     policy = data.draw(tree_policies(model, depth))
     root = data.draw(st.integers(0, model.n_states - 1))
     budget = data.draw(st.none() | st.integers(0, 600))
@@ -366,7 +365,7 @@ def test_tree_matches_the_node_by_node_recursion(data, model, depth, risk):
             return
         assert repr(tree) == repr(expected)
         assert node_occurrences(tree.root) == tree.n_nodes
-        assert leaf_records(tree.root, depth, {})
+        assert len(shared_records(tree.root, {})) <= (depth + 1) * model.n_states
         assert scenario_tree_value(model, risk, policy, depth, root) == reference_value(
             model, risk, expected.root
         )
