@@ -189,7 +189,6 @@ def test_traced_scenario_tree_builds_once_and_evaluates_once_per_internal_node(k
     assert tracer.layer_metrics(0)["oracle.tree_nodes"] == tree.n_nodes
 
 
-
 def test_traced_verify_oracles_operation_has_the_reference_counts(tmp_path, capsys):
     """The ``verify-oracles`` workload's seed-0 operation (``verify`` of the
     README's S LQ config under AVaR 0.5 at discount 0.5, horizon 3, seed 0),
