@@ -453,7 +453,8 @@ def _bracket(points: np.ndarray, xs: np.ndarray) -> _GridQuery:
 
 def interpolate(grid, values, x):
     """Piecewise-linear interpolation of grid values, clamping ``x`` to the
-    grid range.  ``x`` may be a scalar or an array.
+    grid range.  ``x`` may be a scalar or an array; a NaN in it raises a
+    ``ValueError``, and ``-inf`` and ``inf`` clamp to the grid's ends.
 
     The values must be finite, and so is every result at a finite ``x``:
     where the difference of two bracketing values overflows, the point reads
@@ -470,7 +471,11 @@ def interpolate(grid, values, x):
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    query = _bracket(points, np.atleast_1d(np.asarray(x, dtype=float)))
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    # clamping would carry a NaN query through to a NaN result
+    if np.isnan(xs).any():
+        raise ValueError(f"query x must not be NaN, got {x!r}")
+    query = _bracket(points, xs)
     with np.errstate(over="ignore", invalid="ignore"):
         out = query.read(values)
         wild = ~np.isfinite(out)
@@ -618,6 +623,9 @@ class InvestmentParams:
             raise ValueError("wealth grid lower bound must be nonnegative")
         if not self.wealth_hi > self.wealth_lo:
             raise ValueError("wealth grid upper bound must exceed the lower bound")
+        # a width that overflows makes ``np.linspace`` warn and build NaN points
+        if not math.isfinite(self.wealth_hi - self.wealth_lo):
+            raise ValueError("wealth grid width wealth_hi - wealth_lo must be finite")
         _check_shared_params(self)
 
 
@@ -640,6 +648,9 @@ class LQParams:
     def __post_init__(self):
         if not self.x_hi > self.x_lo:
             raise ValueError("state grid upper bound must exceed the lower bound")
+        # a width that overflows makes ``np.linspace`` warn and build NaN points
+        if not math.isfinite(self.x_hi - self.x_lo):
+            raise ValueError("state grid width x_hi - x_lo must be finite")
         _check_shared_params(self)
 
 
@@ -651,10 +662,19 @@ def _uniform_actions(bound: float, n: int) -> np.ndarray:
     return np.linspace(-bound, bound, n)
 
 
+def _uniform_grid(lo: float, hi: float, n: int) -> StateGrid:
+    """``n`` points uniformly spaced in [lo, hi], a width the params checked
+    is finite.  Near the largest float the last step can still round past
+    it, and ``np.linspace`` then overwrites that point with ``hi``: the
+    overflow it would warn about never reaches the grid."""
+    with np.errstate(over="ignore"):
+        return StateGrid(np.linspace(lo, hi, n))
+
+
 def build_investment(params: InvestmentParams, discount: float) -> MarkovModel:
     """Wealth model: ``x' = x * (1 + r + (mu - r) * a + sigma * a * xi)``
     with stage cost equal to wealth."""
-    grid = StateGrid(np.linspace(params.wealth_lo, params.wealth_hi, params.grid_points))
+    grid = _uniform_grid(params.wealth_lo, params.wealth_hi, params.grid_points)
     actions = ActionSet(_uniform_actions(params.action_bound, params.n_actions))
     noise = quantize_standard_normal(params.noise_atoms)
     mu, r, sigma = params.mu, params.r, params.sigma
@@ -681,7 +701,7 @@ def build_investment(params: InvestmentParams, discount: float) -> MarkovModel:
 def build_lq(params: LQParams, discount: float) -> MarkovModel:
     """Linear-quadratic model: ``x' = x + a + sigma * xi`` with stage cost
     ``x**2 + a**2``."""
-    grid = StateGrid(np.linspace(params.x_lo, params.x_hi, params.grid_points))
+    grid = _uniform_grid(params.x_lo, params.x_hi, params.grid_points)
     actions = ActionSet(_uniform_actions(params.action_bound, params.n_actions))
     noise = quantize_standard_normal(params.noise_atoms)
     sigma = params.sigma

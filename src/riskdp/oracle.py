@@ -14,7 +14,10 @@ risk evaluation per internal node, but makes one shared record per
 with its own successor code: the kernel row's support, or the clamped
 ``next_state`` of each noise atom bracketed by this module's ``_bracket``.
 Its valuation walks every occurrence, reads stage costs from one list and
-values leaves in place of a call each.
+values leaves in place of a call each.  It makes and checks each record's
+outcome probabilities once per valuation, and keeps the whole distribution
+of a record whose children are all leaves; every other occurrence makes and
+checks only its outcome values before its one risk evaluation.
 
 The vertex enumeration still checks every vertex, but forms the candidates
 of all feasible (vertex, fractional coordinate) pairs in one array pass over
@@ -41,7 +44,14 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .model import MarkovModel, Tabular
-from .risk import DiscreteDistribution, RiskSpec, _check_level, evaluate
+from .risk import (
+    DiscreteDistribution,
+    RiskSpec,
+    _check_level,
+    _check_probs,
+    _check_values,
+    evaluate,
+)
 from .solver import Policy
 
 __all__ = [
@@ -207,23 +217,40 @@ def build_scenario_tree(
     return ScenarioTree(depth=depth, root=root, n_nodes=n_nodes)
 
 
-def _node_value(costs: list, beta: float, risk: RiskSpec, node: TreeNode) -> float:
+def _node_value(
+    costs: list, beta: float, risk: RiskSpec, node: TreeNode, records: dict
+) -> float:
     """Stage cost of an internal node plus the discounted risk of its
     children's values; leaf children are read from ``costs`` (the model's
     ``cost_table.tolist()``) in place of a call each.  Each blend is added
-    to ``0.0`` in order, as ``sum`` adds it (a ``-0.0`` term reads ``0.0``)."""
+    to ``0.0`` in order, as ``sum`` adds it (a ``-0.0`` term reads ``0.0``).
+
+    ``records`` maps ``id`` of each record met so far to its outcome
+    probabilities, made and checked at its first occurrence, or, where
+    every child is a leaf, to its whole distribution: those outcome values
+    are stage costs, the same at every occurrence."""
+    record = records.get(id(node))
+    if record.__class__ is DiscreteDistribution:
+        return costs[node.state_index][node.action_index] + beta * evaluate(risk, record)
     values = []
-    probs = []
-    for prob, blend in node.children:
+    for _, blend in node.children:
         total = 0.0
         for weight, child in blend:
             if child.children:
-                total += weight * _node_value(costs, beta, risk, child)
+                total += weight * _node_value(costs, beta, risk, child, records)
             else:
                 total += weight * costs[child.state_index][child.action_index]
         values.append(total)
-        probs.append(prob)
-    dist = DiscreteDistribution(np.array(values, dtype=float), np.array(probs, dtype=float))
+    values = np.array(values, dtype=float)
+    _check_values(values)
+    if record is None:
+        record = np.array([prob for prob, _ in node.children], dtype=float)
+        _check_probs(record)
+        dist = DiscreteDistribution._prechecked(values, record)
+        leaves = not any(child.children for _, blend in node.children for _, child in blend)
+        records[id(node)] = dist if leaves else record
+    else:
+        dist = DiscreteDistribution._prechecked(values, record)
     return costs[node.state_index][node.action_index] + beta * evaluate(risk, dist)
 
 
@@ -235,13 +262,17 @@ def scenario_tree_value(
 
     Recursively, each node contributes its stage cost plus the discounted
     risk of the distribution of child values; leaves contribute only their
-    stage cost.
+    stage cost.  Every internal occurrence makes one ``evaluate`` call, on
+    the distribution the node's outcomes define.  Its probabilities are
+    made and checked once per record; a record whose children are all
+    leaves keeps its whole distribution, and any other occurrence makes and
+    checks only its values.
     """
     root = build_scenario_tree(model, policy, depth, root_index).root
     costs = model.cost_table.tolist()
     if not root.children:
         return costs[root.state_index][root.action_index]
-    return _node_value(costs, model.discount, risk, root)
+    return _node_value(costs, model.discount, risk, root, {})
 
 
 # ---------------------------------------------------------------------------

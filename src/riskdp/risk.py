@@ -126,6 +126,28 @@ class DiscreteDistribution:
         return dist
 
     @classmethod
+    def _prechecked(cls, values: np.ndarray, probs: np.ndarray):
+        """Distribution over float ``values`` and ``probs`` whose checks the
+        caller ran, taking the two arrays over without the dataclass
+        ``__init__`` and making them read-only.
+
+        The caller, ``riskdp.oracle._node_value``, makes both as 1-d float
+        arrays with one atom per outcome of a scenario-tree record, so they
+        have one nonempty length.  It checks the probabilities with
+        ``_check_probs`` once per record, at the record's first occurrence
+        in a valuation, and the values with ``_check_values`` each time it
+        makes them: at every occurrence, except at a record whose outcomes
+        all reach leaves, whose distribution it makes once and reuses.
+        """
+        values.setflags(False)
+        probs.setflags(False)
+        dist = object.__new__(cls)
+        fields = dist.__dict__
+        fields["values"] = values
+        fields["probs"] = probs
+        return dist
+
+    @classmethod
     def from_atoms(cls, atoms: Iterable[Tuple[float, float]]) -> "DiscreteDistribution":
         """Build from an iterable of (value, probability) pairs."""
         pairs = list(atoms)

@@ -383,6 +383,41 @@ def test_values_that_overflow_within_the_value_bound_exit_2(tmp_path, capsys, co
     )
 
 
+@pytest.mark.parametrize(
+    "kind, fields, message",
+    [
+        ("lq", {"x_lo": -1e308, "x_hi": 1e308}, "state grid width x_hi - x_lo must be finite"),
+        ("lq", {"x_lo": 0.0, "x_hi": sys.float_info.max, "grid_points": 7}, "cost at state"),
+        (
+            "investment",
+            {"wealth_hi": sys.float_info.max, "grid_points": 7},
+            "value bound max stage cost / (1 - discount) overflows",
+        ),
+    ],
+    ids=["lq-width", "lq-last-step", "investment-last-step"],
+)
+def test_grid_bounds_near_the_float_range_exit_2_without_warnings(
+    tmp_path, capsys, kind, fields, message
+):
+    """Bounds whose width overflows are rejected before a grid is built, and
+    a finite width whose last step rounds past the largest float builds its
+    grid quietly; numpy's linspace warnings printed before either message."""
+    base = {
+        "lq": LQ_MODEL["lq"],
+        "investment": {
+            "mu": 0.08, "r": 0.02, "sigma": 0.3, "action_bound": 2.0, "wealth_lo": 0.0,
+            "wealth_hi": 2.0, "grid_points": 5, "n_actions": 3, "noise_atoms": 3,
+        },
+    }[kind]
+    config = write_config(tmp_path, model={kind: dict(base, **fields)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "-c", config]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"error: config.model.{kind}: {message}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -82,6 +82,10 @@ def _found(kind, **fields):
 # the value bound wealth_hi / (1 - discount) overflowed, and value iteration
 # raised on its infinite values
 @example(_found("investment", wealth_hi=sys.float_info.max))
+# bounds whose width overflows, and a last grid step that rounds past the
+# largest float, made np.linspace warn
+@example(_found("lq", x_lo=-1e308, x_hi=1e308))
+@example(_found("investment", wealth_hi=sys.float_info.max, grid_points=7))
 def test_solve_on_a_fuzzed_config_returns_a_documented_exit_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

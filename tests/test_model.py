@@ -16,6 +16,7 @@ from riskdp.model import (
     MarkovModel,
     StateGrid,
     Tabular,
+    _uniform_grid,
     build_investment,
     build_lq,
     build_tabular,
@@ -165,6 +166,19 @@ def test_interpolate_rejects_non_finite_values_before_reading_them(bad):
         for x in (0.5, 2.0, np.array([0.0, 1.5])):
             with pytest.raises(ValueError, match="values must be finite"):
                 interpolate(grid, np.array([0.0, bad, 0.0]), x)
+
+
+def test_interpolate_rejects_a_nan_query_and_clamps_infinite_ones():
+    grid = StateGrid(np.array([0.0, 1.0, 2.0]))
+    values = np.array([1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.nan, np.float64(np.nan), np.array(np.nan), np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match="query x must not be NaN"):
+                interpolate(grid, values, x)
+        assert interpolate(grid, values, np.inf) == 3.0
+        assert interpolate(grid, values, -np.inf) == 1.0
+        assert interpolate(grid, values, np.array([-np.inf, 0.5, np.inf])).tolist() == [1.0, 1.5, 3.0]
 
 
 def test_interpolate_reads_values_whose_difference_overflows():
@@ -366,6 +380,25 @@ def test_build_investment_rejects_negative_wealth_grid():
             mu=0.05, r=0.0, sigma=0.2, action_bound=1.0,
             wealth_lo=-0.5, wealth_hi=2.0, grid_points=11, n_actions=3, noise_atoms=2,
         )
+
+
+def test_parametric_models_reject_a_grid_width_that_overflows():
+    """The width ``hi - lo`` is checked before any grid is built, where
+    ``np.linspace`` would warn and make NaN points."""
+    top = sys.float_info.max
+    for lo, hi in ((-1e308, 1e308), (-top, top), (-np.inf, 0.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match=r"state grid width x_hi - x_lo must be finite"):
+            LQParams(1.0, 1.0, lo, hi, 5, 3, 3)
+    with pytest.raises(ValueError, match="wealth grid width wealth_hi - wealth_lo must be finite"):
+        InvestmentParams(0.05, 0.0, 0.2, 1.0, 0.0, np.inf, 5, 3, 3)
+    # a finite width whose last step rounds past the largest float builds
+    # its grid with no warning, ending exactly at ``hi``
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        up = _uniform_grid(0.0, top, 7).points
+        down = _uniform_grid(-top, 0.0, 7).points
+    assert np.isfinite(up).all() and up[-1] == top
+    assert np.isfinite(down).all() and (down[0], down[-1]) == (-top, 0.0)
 
 
 def test_parametric_models_have_a_successor_atom_budget():

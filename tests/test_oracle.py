@@ -231,17 +231,23 @@ def reference_tree(model, policy, depth, root_index):
     return ScenarioTree(depth=depth, root=root, n_nodes=counter[0])
 
 
-def reference_value(model, risk, node):
-    """The nested value by one recursive call per node."""
+def reference_value(model, risk, node, evaluated=None):
+    """The nested value by one recursive call per node; each distribution
+    it evaluates is appended to ``evaluated``, when given."""
     cost = model.cost_at(node.state_index, node.action_index)
     if not node.children:
         return cost
     values = np.empty(len(node.children))
     probs = np.empty(len(node.children))
     for k, (prob, blend) in enumerate(node.children):
-        values[k] = sum(w * reference_value(model, risk, child) for w, child in blend)
+        values[k] = sum(
+            w * reference_value(model, risk, child, evaluated) for w, child in blend
+        )
         probs[k] = prob
-    return cost + model.discount * evaluate(risk, DiscreteDistribution(values, probs))
+    dist = DiscreteDistribution(values, probs)
+    if evaluated is not None:
+        evaluated.append(dist)
+    return cost + model.discount * evaluate(risk, dist)
 
 
 def masked(model, admissible):
@@ -336,6 +342,65 @@ def shared_records(node, found):
     return found
 
 
+def internal_visits(node, visits):
+    """Map ``id`` of each internal record under ``node`` to the record and
+    the number of places a walk of the tree visits it."""
+    if node.children:
+        visits[id(node)] = (node, visits.get(id(node), (node, 0))[1] + 1)
+        for _, blend in node.children:
+            for _, child in blend:
+                internal_visits(child, visits)
+    return visits
+
+
+def counting(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+
+    def spy(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args)
+
+    return spy
+
+
+def assert_values_each_record_from_arrays_checked_once(
+    model, risk, policy, depth, root, tree, expected
+):
+    """``scenario_tree_value`` evaluates, at every internal occurrence of
+    ``tree`` and in the order of the recursion on its node-by-node twin
+    ``expected``, a distribution bit-identical to the recursion's.  It
+    checks each internal record's probabilities once, and makes and checks
+    values at every occurrence but the repeats of a record whose children
+    are all leaves, which reuse its read-only distribution."""
+    evaluated = []
+    calls = {}
+
+    def spy_evaluate(risk, dist):
+        evaluated.append(dist)
+        return evaluate(risk, dist)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, "evaluate", spy_evaluate)
+        for name in ("_check_probs", "_check_values"):
+            patch.setattr(oracle_mod, name, counting(calls, name, getattr(oracle_mod, name)))
+        value = scenario_tree_value(model, risk, policy, depth, root)
+    wanted = []
+    assert value == reference_value(model, risk, expected.root, wanted)
+    visits = internal_visits(tree.root, {}).values()
+    last = [n for node, n in visits if not any(c.children for _, b in node.children for _, c in b)]
+    made = sum(n for _, n in visits) - sum(last) + len(last)
+    assert len(evaluated) == len(wanted) == sum(n for _, n in visits)
+    assert calls.get("_check_probs", 0) == len(visits)
+    assert calls.get("_check_values", 0) == made
+    assert len({id(dist) for dist in evaluated}) == made
+    for got, want in zip(evaluated, wanted):
+        assert not (got.values.flags.writeable or got.probs.flags.writeable)
+        assert got.values.dtype == got.probs.dtype == np.float64
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert not got._ascending
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.data(),
@@ -351,7 +416,9 @@ def test_tree_matches_the_node_by_node_recursion(data, model, depth, risk):
     a reached node, or a budget overrun, whichever node comes first.  Each
     (stage, state) is one shared record, yet ``n_nodes`` counts every
     occurrence a walk of the tree visits, and the budget is checked at
-    each: ``n_nodes`` passes and one less raises."""
+    each: ``n_nodes`` passes and one less raises.  The valuation evaluates
+    the recursion's distributions, each record's arrays made and checked as
+    ``assert_values_each_record_from_arrays_checked_once`` says."""
     policy = data.draw(tree_policies(model, depth))
     root = data.draw(st.integers(0, model.n_states - 1))
     budget = data.draw(st.none() | st.integers(0, 600))
@@ -366,8 +433,8 @@ def test_tree_matches_the_node_by_node_recursion(data, model, depth, risk):
         assert repr(tree) == repr(expected)
         assert node_occurrences(tree.root) == tree.n_nodes
         assert len(shared_records(tree.root, {})) <= (depth + 1) * model.n_states
-        assert scenario_tree_value(model, risk, policy, depth, root) == reference_value(
-            model, risk, expected.root
+        assert_values_each_record_from_arrays_checked_once(
+            model, risk, policy, depth, root, tree, expected
         )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle_mod, "MAX_TREE_NODES", tree.n_nodes)
