@@ -43,11 +43,13 @@ from .risk import (
     MeanDeviation,
     RiskSpec,
     avar_dual,
+    avar_duals,
     avar_primal,
     density_cap,
     evaluate,
     kusuoka_evaluate,
     mean_deviation_dual,
+    mean_deviation_duals,
     mean_deviation_primal,
     value_at_risk,
 )

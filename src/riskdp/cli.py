@@ -54,10 +54,10 @@ from .risk import (
     KusuokaMixture,
     MeanDeviation,
     RiskSpec,
-    avar_dual,
+    avar_duals,
     avar_primal,
     density_cap,
-    mean_deviation_dual,
+    mean_deviation_duals,
     mean_deviation_primal,
 )
 from .solver import (
@@ -575,13 +575,21 @@ def _largest(*errors: float) -> float:
     return math.nan if math.isnan(sum(errors)) else max(errors)
 
 
+#: the levels and kappas each distribution of a risk-agreement suite is
+#: checked at, in check order
+TAIL_LEVELS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
+DEVIATION_KAPPAS = (0.0, 0.25, 0.5)
+
+
 def _tail_average_cases(rng, cap_scale: float):
     for _ in range(200):
         dist = random_distribution(rng, max_atoms=10)
         atoms = dist.atoms
-        for alpha in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
+        # one dual pass per distribution; the primal and the vertex LP stay
+        # one call per check
+        duals = avar_duals(TAIL_LEVELS, dist)
+        for alpha, (dual, density) in zip(TAIL_LEVELS, duals):
             primal = avar_primal(alpha, dist)
-            dual, density = avar_dual(alpha, dist)
             try:
                 vertex = avar_lp_oracle(alpha, dist, cap_scale=cap_scale)
             except RuntimeError as exc:
@@ -603,9 +611,9 @@ def _mean_deviation_cases(rng):
     for _ in range(200):
         dist = random_distribution(rng, max_atoms=10)
         atoms = dist.atoms
-        for kappa in (0.0, 0.25, 0.5):
+        duals = mean_deviation_duals(DEVIATION_KAPPAS, dist)
+        for kappa, (dual, density) in zip(DEVIATION_KAPPAS, duals):
             primal = mean_deviation_primal(kappa, dist)
-            dual, density = mean_deviation_dual(kappa, dist)
             err = _largest(abs(primal - dual), abs(density.mass(dist) - 1.0))
             yield err, {"kappa": kappa, "atoms": atoms, "primal": primal, "dual": dual}
 

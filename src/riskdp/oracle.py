@@ -213,7 +213,13 @@ def build_scenario_tree(
         made[stage, state_index] = (node, n_nodes - first + 1)
         return node
 
-    root = expand(int(root_index), 0)
+    try:
+        root = expand(int(root_index), 0)
+    finally:
+        # ``expand`` reaches itself through its closure cell; dropping the
+        # name breaks that cycle, so reference counting frees the tables and
+        # the tree, on the error paths too
+        del expand
     return ScenarioTree(depth=depth, root=root, n_nodes=n_nodes)
 
 
@@ -452,7 +458,7 @@ def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 
     remainder = 1.0 - mass
     best = -np.inf
     exact = np.abs(remainder) <= 1e-12
-    if np.any(exact):
+    if exact.any():
         best = float(base[exact].max())
     # every (vertex, free coordinate) pair at once; candidates are formed
     # only at the feasible ones, so an infeasible pair cannot overflow
@@ -461,7 +467,7 @@ def avar_lp_oracle(alpha: float, dist: DiscreteDistribution, cap_scale: float = 
     (at,) = ((rem > 1e-12) & (rem <= (cap * probs + 1e-12)[b])).nonzero()
     if len(at):
         best = max(best, float((base[vertex[at]] + rem[at] * values[b[at]]).max()))
-    if not np.isfinite(best):
+    if not math.isfinite(best):
         raise RuntimeError("no feasible dual vertex found")
     return best
 

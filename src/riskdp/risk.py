@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,8 +49,10 @@ __all__ = [
     "value_at_risk",
     "avar_primal",
     "avar_dual",
+    "avar_duals",
     "mean_deviation_primal",
     "mean_deviation_dual",
+    "mean_deviation_duals",
     "kusuoka_evaluate",
     "evaluate",
     "density_cap",
@@ -381,19 +383,21 @@ def value_at_risk(p: float, dist: DiscreteDistribution) -> float:
     return float(dist.values[order][idx])
 
 
-def _tail_take(alpha: float, sorted_probs: np.ndarray) -> np.ndarray:
+def _tail_take(alpha, sorted_probs: np.ndarray) -> np.ndarray:
     """Probability mass drawn from each atom (sorted worst first along the
     last axis) when the worst ``1 - alpha`` tail is collected greedily.
 
     This is ``min(max(t - (cum - p), 0), p)`` with ``t = 1 - alpha`` and
-    ``cum`` the running sum of ``p``, evaluated in one new buffer in that
-    order; ``sorted_probs`` is never written.
+    ``cum`` the running sum of ``p``, evaluated in that order; ``alpha`` is
+    a level or a (L, 1) column of float64 levels, whose row ``l`` is the
+    take at level ``alpha[l, 0]`` bit for bit.  ``sorted_probs`` is never
+    written.
     """
     # ``subtract`` takes its output positionally, which numpy parses faster
     # than ``out=``; ``maximum`` and ``minimum`` need the keyword
-    take = np.add.accumulate(sorted_probs, axis=-1)
-    np.subtract(take, sorted_probs, take)
-    np.subtract(1.0 - alpha, take, take)
+    cum = np.add.accumulate(sorted_probs, axis=-1)
+    np.subtract(cum, sorted_probs, cum)
+    take = np.subtract(1.0 - alpha, cum)
     np.maximum(take, _ZERO, out=take)
     np.minimum(take, sorted_probs, out=take)
     return take
@@ -504,15 +508,45 @@ def avar_dual(alpha: float, dist: DiscreteDistribution) -> Tuple[float, DualDens
     mass budget is spent, with a fractional weight on the boundary atom;
     this is ``avar_primal``'s tail take divided by ``1 - alpha``.  Returns
     the expectation under the maximizing density together with the density,
-    whose weights are aligned with the atoms of ``dist``.
+    whose weights are aligned with the atoms of ``dist``: the one-level
+    call of ``avar_duals``.
     """
-    _check_level(alpha)
+    return avar_duals((alpha,), dist)[0]
+
+
+def avar_duals(
+    levels: Sequence[float], dist: DiscreteDistribution
+) -> List[Tuple[float, DualDensity]]:
+    """``avar_dual`` at each of ``levels`` (read as float64), in one pass
+    over ``dist``.
+
+    Every level is checked before any arithmetic.  The atoms are sorted
+    once, and one ``_tail_take`` over the column of levels forms every
+    level's take; each row is then divided as ``avar_dual`` divides it, so
+    each level's value and weights are bit for bit those of its own call.
+    Each level gets its own checked ``DualDensity`` (a row of one weight
+    block), and its value is that row's ``DualDensity.expectation``.
+    """
+    for alpha in levels:
+        _check_level(alpha)
+    alphas = np.array(levels, dtype=float).reshape(-1, 1)
     order = (-dist.values).argsort(kind="stable")
     probs_sorted = dist.probs[order]
-    weights = np.zeros(len(dist))
-    weights[order] = _tail_take(alpha, probs_sorted) / probs_sorted / (1.0 - alpha)
-    density = DualDensity(weights)
-    return density.expectation(dist), density
+    weights = np.zeros((len(alphas), len(dist)))
+    weights[:, order] = _tail_take(alphas, probs_sorted) / probs_sorted / (1.0 - alphas)
+    return _densities_and_values(weights, dist)
+
+
+def _densities_and_values(weights: np.ndarray, dist: DiscreteDistribution) -> list:
+    """One checked ``DualDensity`` per row of ``weights`` and its
+    expectation against ``dist``, formed as ``DualDensity.expectation``
+    forms it: the row times the probabilities, then that row's ``.dot``."""
+    reweighted = weights * dist.probs
+    values = dist.values
+    return [
+        (float(row.dot(values)) + 0.0, DualDensity(density))
+        for row, density in zip(reweighted, weights)
+    ]
 
 
 def mean_deviation_primal(kappa: float, dist: DiscreteDistribution) -> float:
@@ -533,14 +567,29 @@ def mean_deviation_dual(kappa: float, dist: DiscreteDistribution) -> Tuple[float
     The maximizing density is ``1 + h - sum(h * probs)`` where ``h`` is
     ``kappa`` times the sign of the deviation from the mean (zero on atoms
     equal to the mean).  Returns the value and the density, aligned with
-    the atoms of ``dist``.
+    the atoms of ``dist``: the one-level call of ``mean_deviation_duals``.
     """
-    _check_kappa(kappa)
-    mean = float(dist.values.dot(dist.probs)) + 0.0
-    h = kappa * np.sign(dist.values - mean)
-    weights = 1.0 + h - (float(h.dot(dist.probs)) + 0.0)
-    density = DualDensity(weights)
-    return density.expectation(dist), density
+    return mean_deviation_duals((kappa,), dist)[0]
+
+
+def mean_deviation_duals(
+    kappas: Sequence[float], dist: DiscreteDistribution
+) -> List[Tuple[float, DualDensity]]:
+    """``mean_deviation_dual`` at each of ``kappas`` (read as float64), in
+    one pass over ``dist``.
+
+    Every ``kappa`` is checked before any arithmetic.  The mean and the
+    sign vector are formed once; each row's ``sum(h * probs)`` is its own
+    ``.dot``, so each level's value and weights are bit for bit those of
+    its own call, and each gets its own checked ``DualDensity``.
+    """
+    for kappa in kappas:
+        _check_kappa(kappa)
+    probs = dist.probs
+    mean = float(dist.values.dot(probs)) + 0.0
+    h = np.array(kappas, dtype=float).reshape(-1, 1) * np.sign(dist.values - mean)
+    shifts = np.array([float(row.dot(probs)) + 0.0 for row in h])
+    return _densities_and_values(1.0 + h - shifts[:, None], dist)
 
 
 MixtureLike = Sequence[Tuple[float, float]]

@@ -1,11 +1,15 @@
 """Tests for the verification oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskdp.oracle as oracle_mod
+from riskdp.cli import run_verification_suites
 from riskdp.fixtures import (
     random_distribution,
     random_lq_model,
@@ -112,6 +116,66 @@ def test_tree_budget_error(monkeypatch):
     policy = Policy.stationary(np.array([0, 0, 0, 0]))
     with pytest.raises(BudgetExceededError):
         scenario_tree_value(model, Expectation(), policy, 12, 0)
+
+
+def _left_for_the_collector(action):
+    """The objects ``action()`` leaves in reference cycles, found with the
+    cycle collector off and ``gc.DEBUG_SAVEALL`` on; the collector's state
+    is restored afterwards."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    before = len(gc.garbage)
+    try:
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        action()
+        gc.collect()
+        return gc.garbage[before:]
+    finally:
+        del gc.garbage[before:]
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+
+
+def test_a_dropped_tree_is_freed_by_reference_counting():
+    model = random_tabular_model(np.random.default_rng(0))
+    policy = Policy.stationary(np.array([0, 0, 0, 0]))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tree = build_scenario_tree(model, policy, 3, 0)
+        root = weakref.ref(tree.root)
+        del tree
+        assert root() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("failure", ["budget", "no rule"])
+def test_a_failed_tree_build_leaves_no_cycle(monkeypatch, failure):
+    model = random_tabular_model(np.random.default_rng(0))
+    if failure == "budget":
+        monkeypatch.setattr(oracle_mod, "MAX_TREE_NODES", 50)
+        policy, error = Policy.stationary(np.array([0, 0, 0, 0])), BudgetExceededError
+    else:
+        # the root's rule is found; the error is raised one stage down
+        policy, error = Policy(stages=(np.array([0, 0, 0, 0]),)), ValueError
+
+    def build():
+        try:
+            build_scenario_tree(model, policy, 4, 0)
+        except error:
+            return
+        raise AssertionError("the tree build did not fail")
+
+    assert _left_for_the_collector(build) == []
+
+
+def test_verify_leaves_no_tree_policy_or_model_for_the_collector():
+    left = _left_for_the_collector(lambda: run_verification_suites(0, 1))
+    assert [o for o in left if isinstance(o, (TreeNode, Policy, MarkovModel))] == []
 
 
 def test_tree_matches_policy_evaluation_tabular():

@@ -22,11 +22,13 @@ from riskdp.risk import (
     KusuokaMixture,
     MeanDeviation,
     avar_dual,
+    avar_duals,
     avar_primal,
     density_cap,
     evaluate,
     kusuoka_evaluate,
     mean_deviation_dual,
+    mean_deviation_duals,
     _tail_take,
     mean_deviation_primal,
     value_at_risk,
@@ -590,3 +592,115 @@ def test_dual_density_rejects_bad_weights_with_its_messages():
         DualDensity(np.array([1.0, -1e-14]))
     # the rounding slack below zero is kept
     assert DualDensity(np.array([1.0, -1e-16])).weights[1] == -1e-16
+
+
+# ---------------------------------------------------------------------------
+# level-batched duals
+
+
+def scalar_avar_dual(alpha, dist):
+    """``avar_dual``'s body as one call per level, with its tail take
+    written out: the reference the level-batched dual must match."""
+    order = (-dist.values).argsort(kind="stable")
+    probs_sorted = dist.probs[order]
+    take = np.add.accumulate(probs_sorted)
+    np.subtract(take, probs_sorted, take)
+    np.subtract(1.0 - alpha, take, take)
+    np.maximum(take, 0.0, out=take)
+    np.minimum(take, probs_sorted, out=take)
+    weights = np.zeros(len(dist))
+    weights[order] = take / probs_sorted / (1.0 - alpha)
+    return float((weights * dist.probs).dot(dist.values)) + 0.0, weights
+
+
+def scalar_mean_deviation_dual(kappa, dist):
+    """``mean_deviation_dual``'s body as one call per level."""
+    mean = float(dist.values.dot(dist.probs)) + 0.0
+    h = kappa * np.sign(dist.values - mean)
+    weights = 1.0 + h - (float(h.dot(dist.probs)) + 0.0)
+    return float((weights * dist.probs).dot(dist.values)) + 0.0, weights
+
+
+def assert_batched_duals_match_scalar(dist, alphas, kappas_drawn):
+    for batched, one, scalar, drawn in (
+        (avar_duals, avar_dual, scalar_avar_dual, alphas),
+        (mean_deviation_duals, mean_deviation_dual, scalar_mean_deviation_dual, kappas_drawn),
+    ):
+        results = batched(drawn, dist)
+        assert len(results) == len(drawn)
+        for level, (value, density) in zip(drawn, results):
+            expected_value, expected_weights = scalar(level, dist)
+            assert isinstance(density, DualDensity)
+            assert bits(value) == bits(expected_value)
+            assert density.weights.tobytes() == expected_weights.tobytes()
+            # the one-level call is the batched call at that level
+            one_value, one_density = one(level, dist)
+            assert bits(one_value) == bits(expected_value)
+            assert one_density.weights.tobytes() == expected_weights.tobytes()
+
+
+#: levels just below 1, where ``1 - alpha`` is tiny and the weights huge
+near_one = st.sampled_from([0.99, 1.0 - 1e-9, 1.0 - 2.0**-40, float(np.nextafter(1.0, 0.0))])
+
+
+@st.composite
+def batched_dual_cases(draw):
+    """A distribution of 1 to 12 atoms, its values rounded so that ties are
+    common, with lists of levels and kappas that include the ends."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 12))
+    values = rng.uniform(-1e3, 1e3, size=k).round(draw(st.sampled_from([-3, -2, 0, 12])))
+    probs = rng.uniform(0.05, 1.0, size=k)
+    dist = DiscreteDistribution(values, probs / probs.sum())
+    alphas = draw(st.lists(st.just(0.0) | near_one | levels, min_size=1, max_size=8))
+    kappas_drawn = draw(st.lists(st.sampled_from([0.0, 0.5]) | kappas, min_size=1, max_size=4))
+    return dist, alphas, kappas_drawn
+
+
+@settings(max_examples=300, deadline=None)
+@given(batched_dual_cases())
+def test_batched_duals_equal_the_scalar_bodies_bit_for_bit(case):
+    assert_batched_duals_match_scalar(*case)
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        [(3.5, 1.0)],
+        [(-0.0, 0.5), (0.0, 0.5)],
+        [(2.0, 0.25), (2.0, 0.5), (1.0, 0.25)],
+        [(7.0, 0.2), (7.0, 0.3), (7.0, 0.5)],
+        [(0.0, 0.5), (10.0, 0.5)],
+    ],
+)
+def test_batched_duals_equal_the_scalar_bodies_on_one_atom_and_ties(atoms):
+    dist = DiscreteDistribution.from_atoms(atoms)
+    alphas = [0.0, 0.25, 0.5, 0.75, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0))]
+    assert_batched_duals_match_scalar(dist, alphas, [0.0, 0.25, 0.5])
+    assert avar_duals([], dist) == [] and mean_deviation_duals([], dist) == []
+
+
+class _Unread:
+    """A distribution stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name!r} before every level was checked")
+
+    def __len__(self):
+        raise AssertionError("took the length before every level was checked")
+
+
+@pytest.mark.parametrize(
+    "batched, drawn, message",
+    [
+        (avar_duals, (0.5, 1.0), r"alpha must lie in \[0, 1\), got 1\.0"),
+        (avar_duals, (0.0, 0.3, -0.1), r"alpha must lie in \[0, 1\), got -0\.1"),
+        (avar_duals, (0.3, math.nan), r"alpha must lie in \[0, 1\), got nan"),
+        (mean_deviation_duals, (0.25, 0.6), r"kappa must lie in \[0, 1/2\], got 0\.6"),
+        (mean_deviation_duals, (-0.5, 0.0), r"kappa must lie in \[0, 1/2\], got -0\.5"),
+        (mean_deviation_duals, (0.5, math.nan), r"kappa must lie in \[0, 1/2\], got nan"),
+    ],
+)
+def test_batched_duals_check_every_level_before_any_arithmetic(batched, drawn, message):
+    with pytest.raises(ValueError, match=message):
+        batched(drawn, _Unread())
