@@ -585,8 +585,9 @@ def _tail_average_cases(rng, cap_scale: float):
     for _ in range(200):
         dist = random_distribution(rng, max_atoms=10)
         atoms = dist.atoms
-        # one dual pass per distribution; the primal and the vertex LP stay
-        # one call per check
+        # one dual pass per distribution; the primal and the vertex LP keep
+        # one call per check, as the traced call counts of
+        # ``bench/reference.json`` record them
         duals = avar_duals(TAIL_LEVELS, dist)
         for alpha, (dual, density) in zip(TAIL_LEVELS, duals):
             primal = avar_primal(alpha, dist)

@@ -10,13 +10,16 @@ interpret larger values as worse outcomes (costs).
 Each risk kind is one ``RiskSpec`` class carrying its config name, its value,
 its batched value over outcome rows and its dual density cap.
 
-The tail-average primal and dual share one greedy tail take (``_tail_take``,
-which ``_batch_avar`` runs atoms-major for the exhaustive search's batched
-values); the primal reads it through a bounded cache per (level,
-worst-first probabilities).  The dual's value is
-the expectation under the density it returns, so checking it checks that
-density.  The independent check of both is the vertex-enumeration LP in
-``riskdp.oracle``.
+One greedy tail take (``_tail_take``) serves the tail-average primal, the
+level-batched dual and ``_batch_avar``, which runs it atoms-major for the
+exhaustive search's batched values.  The primal reads it through a bounded
+cache per (level, worst-first probabilities).  The dual (``avar_duals``)
+sorts a distribution once and forms the take once over a column of levels;
+``avar_dual`` is its one-level call.  ``mean_deviation_duals`` likewise
+forms a distribution's mean and sign vector once for every ``kappa``.  A
+dual's value is the expectation under the density it returns, so checking
+it checks that density.  The independent check of the tail-average primal
+and dual is the vertex-enumeration LP in ``riskdp.oracle``.
 
 One-dimensional dot products are taken with ``ndarray.dot`` rather than
 ``@``: both run the same BLAS ddot, with bit-equal results on contiguous and
