@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from typing import Iterator, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
@@ -72,57 +72,54 @@ from .solver import (
 
 __all__ = ["ConfigError", "RunConfig", "main"]
 
-EXIT_OK = 0
-EXIT_VERIFICATION = 1
-EXIT_CONFIG = 2
-EXIT_NO_CONVERGENCE = 3
-EXIT_IO = 4
-
-CONFIG_KEYS = {
-    "model",
-    "risk",
-    "discount",
-    "epsilon",
-    "tolerance",
-    "max_sweeps",
-    "horizon",
-    "seed",
-    "output_dir",
-}
-
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
 
 
+class _VerificationFailed(RuntimeError):
+    """A verify suite found a mismatch, or a sweep's values broke their order."""
+
+
+class _NotConverged(RuntimeError):
+    """Value iteration spent ``config.max_sweeps`` sweeps short of ``config.tolerance``."""
+
+
+def _bounded(test, rule: str, default=MISSING):
+    """A bounded config key's field: a value failing ``test`` is rejected
+    with a message stating ``rule``."""
+    return field(default=default, metadata={"test": test, "rule": rule})
+
+
 @dataclass
 class RunConfig:
-    """Validated run configuration with defaults applied."""
+    """Validated run configuration with defaults applied.
 
-    model_kind: str
-    model_spec: object
+    Each field is one config key, in the order of the config echo: its
+    annotation is the key's type and its default the key's default (a key
+    without one is required).  ``model`` and ``risk`` come first and have
+    their own parsers.
+    """
+
+    model: dict
     risk: RiskSpec
-    discount: float
-    epsilon: float
-    tolerance: float
-    max_sweeps: int
-    horizon: int
-    seed: int
-    output_dir: str
+    discount: float = _bounded(lambda d: 0.0 < d < 1.0, "must lie in (0, 1)")
+    epsilon: float = _bounded(lambda e: e > 0.0, "epsilon must be positive", 0.1)
+    tolerance: float = _bounded(lambda t: t > 0.0, "must be positive", 1e-8)
+    max_sweeps: int = _bounded(lambda s: s >= 1, "must be at least 1", 500)
+    horizon: int = _bounded(lambda h: h >= 0, "must be nonnegative", 3)
+    seed: int = 0
+    output_dir: str = "out"
+
+    @property
+    def model_kind(self) -> str:
+        """The one key of ``model``: ``lq``, ``investment`` or ``tabular``."""
+        return next(iter(self.model))
 
     def resolved(self) -> dict:
         """JSON echo of the configuration, defaults included."""
-        return {
-            "model": {self.model_kind: self.model_spec},
-            "risk": _risk_to_json(self.risk),
-            "discount": self.discount,
-            "epsilon": self.epsilon,
-            "tolerance": self.tolerance,
-            "max_sweeps": self.max_sweeps,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        doc = {key.name: getattr(self, key.name) for key in dataclass_fields(self)}
+        return {**doc, "risk": _risk_to_json(self.risk)}
 
 
 def _risk_to_json(risk: RiskSpec) -> dict:
@@ -175,9 +172,9 @@ def _finite(value, where: str):
     return value
 
 
-def _field(doc: dict, key: str, caster, default=None, where: str = "config"):
+def _field(doc: dict, key: str, caster, default=MISSING, where: str = "config"):
     if key not in doc:
-        if default is None:
+        if default is MISSING:
             raise ConfigError(f"{where}.{key}: required field is missing")
         return default
     try:
@@ -208,7 +205,7 @@ def _parse_model(doc, config_dir: str):
         if not isinstance(spec, str):
             raise ConfigError("config.model.tabular: expected a file path")
         path = spec if os.path.isabs(spec) else os.path.join(config_dir, spec)
-        return kind, path
+        return {kind: path}
     if kind not in MODELS:
         raise ConfigError(f"config.model: unknown model kind {kind!r}")
     if not isinstance(spec, dict):
@@ -219,74 +216,53 @@ def _parse_model(doc, config_dir: str):
         name: _field(spec, name, caster, where=f"config.model.{kind}")
         for name, caster in fields.items()
     }
-    return kind, parsed
+    return {kind: parsed}
 
 
 def parse_config(doc: dict, config_dir: str = ".") -> RunConfig:
-    """Validate a configuration document and apply defaults."""
+    """Validate a configuration document and apply defaults: each key's
+    type, default and bound are its ``RunConfig`` field's."""
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
-    _reject_extra(doc, CONFIG_KEYS, "config")
+    keys = dataclass_fields(RunConfig)
+    _reject_extra(doc, {key.name for key in keys}, "config")
     if "model" not in doc:
         raise ConfigError("config.model: required field is missing")
     if "risk" not in doc:
         raise ConfigError("config.risk: required field is missing")
-    model_kind, model_spec = _parse_model(doc["model"], config_dir)
-    risk = _parse_risk(doc["risk"])
-    discount = _field(doc, "discount", float, where="config")
-    if not (0.0 < discount < 1.0):
-        raise ConfigError(f"config.discount: must lie in (0, 1), got {discount!r}")
-    epsilon = _field(doc, "epsilon", float, default=0.1, where="config")
-    if epsilon <= 0.0:
-        raise ConfigError(f"config.epsilon: epsilon must be positive, got {epsilon!r}")
-    tolerance = _field(doc, "tolerance", float, default=1e-8, where="config")
-    if tolerance <= 0.0:
-        raise ConfigError(f"config.tolerance: must be positive, got {tolerance!r}")
-    max_sweeps = _field(doc, "max_sweeps", int, default=500, where="config")
-    if max_sweeps < 1:
-        raise ConfigError(f"config.max_sweeps: must be at least 1, got {max_sweeps!r}")
-    horizon = _field(doc, "horizon", int, default=3, where="config")
-    if horizon < 0:
-        raise ConfigError(f"config.horizon: must be nonnegative, got {horizon!r}")
-    seed = _field(doc, "seed", int, default=0, where="config")
-    output_dir = _field(doc, "output_dir", str, default="out", where="config")
-    if not os.path.isabs(output_dir):
-        output_dir = os.path.join(config_dir, output_dir)
-    return RunConfig(
-        model_kind=model_kind,
-        model_spec=model_spec,
-        risk=risk,
-        discount=discount,
-        epsilon=epsilon,
-        tolerance=tolerance,
-        max_sweeps=max_sweeps,
-        horizon=horizon,
-        seed=seed,
-        output_dir=output_dir,
-    )
+    args = {"model": _parse_model(doc["model"], config_dir), "risk": _parse_risk(doc["risk"])}
+    types = get_type_hints(RunConfig)
+    for key in keys[2:]:
+        value = args[key.name] = _field(doc, key.name, types[key.name], key.default)
+        if "test" in key.metadata and not key.metadata["test"](value):
+            raise ConfigError(f"config.{key.name}: {key.metadata['rule']}, got {value!r}")
+    if not os.path.isabs(args["output_dir"]):
+        args["output_dir"] = os.path.join(config_dir, args["output_dir"])
+    return RunConfig(**args)
+
+
+def _read_json(path: str, where: str):
+    """The document in the JSON file at ``path``; text that is not UTF-8
+    JSON raises a ConfigError naming ``where``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+        raise ConfigError(f"{where}: invalid JSON: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
     """Read and validate a configuration file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
-        raise ConfigError(f"config: invalid JSON: {exc}") from exc
-    return parse_config(doc, config_dir=os.path.dirname(os.path.abspath(path)))
+    config_dir = os.path.dirname(os.path.abspath(path))
+    return parse_config(_read_json(path, "config"), config_dir=config_dir)
 
 
 def _load_tabular_file(path: str):
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        doc = _read_json(path, f"model file {path!r}")
     except OSError as exc:
         raise OSError(f"cannot read model file {path!r}: {exc}") from exc
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"model file {path!r}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"model file {path!r}: expected a JSON object")
     for key in ("states", "actions", "kernel", "costs"):
@@ -313,10 +289,10 @@ def build_model(config: RunConfig) -> MarkovModel:
     """Instantiate the configured model."""
     try:
         if config.model_kind == "tabular":
-            kernel, costs = _load_tabular_file(config.model_spec)
+            kernel, costs = _load_tabular_file(config.model["tabular"])
             return build_tabular(kernel, costs, config.discount)
         params, builder = MODELS[config.model_kind]
-        return globals()[builder](params(**config.model_spec), config.discount)
+        return globals()[builder](params(**config.model[config.model_kind]), config.discount)
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -332,7 +308,7 @@ def compute_c_bar(config: RunConfig, model: MarkovModel, risk: RiskSpec) -> floa
     """
     if config.model_kind == "lq":
         worst = max(abs(model.grid.lo), abs(model.grid.hi))
-        sigma = float(config.model_spec["sigma"])
+        sigma = float(config.model["lq"]["sigma"])
         try:
             c_bar = 2.0 * worst ** 2 + 2.0 * sigma ** 2 * density_cap(risk)
         except OverflowError:
@@ -369,12 +345,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_values_csv(path: str, grid_points: np.ndarray, values: np.ndarray):
-    lines = ["state,value"]
-    for x, v in zip(grid_points, values):
-        lines.append(f"{_fmt(x)},{_fmt(v)}")
+def _write_lines(path: str, lines):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_values_csv(path: str, grid_points: np.ndarray, values: np.ndarray):
+    rows = (f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid_points, values))
+    _write_lines(path, ["state,value", *rows])
 
 
 def write_policy_csv(path: str, model: MarkovModel, policy: Policy):
@@ -388,8 +366,7 @@ def write_policy_csv(path: str, model: MarkovModel, policy: Policy):
         for i, x in enumerate(model.grid.points):
             a = float(model.actions.values[int(rule[i])])
             lines.append(f"{stage},{_fmt(float(x))},{_fmt(a)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_policy_csv(path: str, model: MarkovModel) -> Policy:
@@ -486,25 +463,28 @@ def _ensure_output_dir(config: RunConfig) -> str:
 # commands
 
 
-def cmd_solve(config: RunConfig) -> int:
+def _solve_to_horizon(config: RunConfig, model: MarkovModel, risk: RiskSpec):
+    """Value iteration to ``config.tolerance``, the per-stage cost bound
+    ``c_bar`` and the smallest horizon whose cost tail is below
+    ``config.epsilon``: the report, ``c_bar`` and the ``HorizonBound``."""
+    report = value_iterate(model, risk, config.tolerance, config.max_sweeps)
+    if not report.converged:
+        setting = " ".join(f"{k}={v!r}" for k, v in _risk_to_json(risk).items())
+        raise _NotConverged(
+            f"value iteration under risk {setting} did not converge within "
+            f"config.max_sweeps={config.max_sweeps} sweeps to "
+            f"config.tolerance={config.tolerance!r} (last residual {report.residuals[-1]!r})"
+        )
+    c_bar = compute_c_bar(config, model, risk)
+    return report, c_bar, epsilon_horizon(c_bar, config.discount, config.epsilon)
+
+
+def cmd_solve(config: RunConfig):
     model = build_model(config)
     out_dir = _ensure_output_dir(config)
-    report = value_iterate(model, config.risk, config.tolerance, config.max_sweeps)
-    if not report.converged:
-        print(
-            f"error: value iteration did not converge in {config.max_sweeps} sweeps "
-            f"(last residual {report.residuals[-1]!r})",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CONVERGENCE
-    c_bar = compute_c_bar(config, model, config.risk)
-    n0, tail = epsilon_horizon(c_bar, config.discount, config.epsilon)
+    report, c_bar, (n0, tail) = _solve_to_horizon(config, model, config.risk)
     _, stage_rules = backward_induct(model, config.risk, n0)
     policy = assemble_epsilon_policy(stage_rules, base_stationary_rule(model))
-    report.horizon = n0
-    report.epsilon = config.epsilon
-    report.tail_bound = tail
-    report.policy = policy
 
     doc = {
         "config": config.resolved(),
@@ -512,7 +492,16 @@ def cmd_solve(config: RunConfig) -> int:
         "reference_state_index": reference_state_index(config, model),
         "grid": model.grid.points.tolist(),
         "actions": model.actions.values.tolist(),
-        "report": report.to_dict(),
+        "report": {
+            **report.to_dict(),
+            "horizon": n0,
+            "epsilon": config.epsilon,
+            "tail_bound": tail,
+            "policy": {
+                "stages": [rule.tolist() for rule in policy.stages],
+                "tail": policy.tail.tolist(),
+            },
+        },
     }
     _write_json(os.path.join(out_dir, "report.json"), doc)
     write_values_csv(
@@ -523,10 +512,9 @@ def cmd_solve(config: RunConfig) -> int:
         f"solve: converged in {report.sweeps} sweeps; horizon {n0}; "
         f"outputs in {out_dir}"
     )
-    return EXIT_OK
 
 
-def cmd_evaluate(config: RunConfig, policy_path: str) -> int:
+def cmd_evaluate(config: RunConfig, policy_path: str):
     model = build_model(config)
     out_dir = _ensure_output_dir(config)
     policy = read_policy_csv(policy_path, model)
@@ -536,7 +524,6 @@ def cmd_evaluate(config: RunConfig, policy_path: str) -> int:
         raise ConfigError(f"policy file {policy_path!r}: {exc}") from exc
     write_values_csv(os.path.join(out_dir, "values.csv"), model.grid.points, values)
     print(f"evaluate: horizon {config.horizon}; outputs in {out_dir}")
-    return EXIT_OK
 
 
 @dataclass
@@ -698,13 +685,12 @@ def run_verification_suites(
     ]
 
 
-def cmd_verify(config: RunConfig, cap_scale: float = 1.0) -> int:
+def cmd_verify(config: RunConfig, cap_scale: float = 1.0):
     out_dir = _ensure_output_dir(config)
     try:
         results = run_verification_suites(config.seed, config.horizon, cap_scale)
     except BudgetExceededError as exc:
-        print(f"error: config.horizon: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"config.horizon: {exc}") from exc
     width = max(len(r.name) for r in results)
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -716,14 +702,10 @@ def cmd_verify(config: RunConfig, cap_scale: float = 1.0) -> int:
             path,
             {"suite": failed[0].name, "instance": failed[0].counterexample},
         )
-        print(f"error: {len(failed)} suite(s) failed; counterexample in {path}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        raise _VerificationFailed(f"{len(failed)} suite(s) failed; counterexample in {path}")
 
 
-def cmd_sweep(config: RunConfig, param: str, values: Sequence[float]) -> int:
-    if param not in ("alpha", "kappa"):
-        raise ConfigError(f"sweep parameter must be 'alpha' or 'kappa', got {param!r}")
+def cmd_sweep(config: RunConfig, param: str, values: Sequence[float]):
     if not values:
         raise ConfigError("sweep needs at least one parameter value")
     model = build_model(config)
@@ -735,34 +717,20 @@ def cmd_sweep(config: RunConfig, param: str, values: Sequence[float]) -> int:
             risk = AVaR(v) if param == "alpha" else MeanDeviation(v)
         except ValueError as exc:
             raise ConfigError(f"sweep value {v!r}: {exc}") from exc
-        report = value_iterate(model, risk, config.tolerance, config.max_sweeps)
-        if not report.converged:
-            print(
-                f"error: value iteration did not converge at {param}={v!r}",
-                file=sys.stderr,
-            )
-            return EXIT_NO_CONVERGENCE
-        c_bar = compute_c_bar(config, model, risk)
-        n0, _ = epsilon_horizon(c_bar, config.discount, config.epsilon)
+        report, _, (n0, _) = _solve_to_horizon(config, model, risk)
         rows.append((v, float(report.converged_value[x0]), n0, report.sweeps))
 
-    lines = ["param,value,N0,sweeps"]
-    for v, value, n0, sweeps in rows:
-        lines.append(f"{_fmt(v)},{_fmt(value)},{n0},{sweeps}")
-    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = (f"{_fmt(v)},{_fmt(value)},{n0},{sweeps}" for v, value, n0, sweeps in rows)
+    _write_lines(os.path.join(out_dir, "sweep.csv"), ["param,value,N0,sweeps", *lines])
 
     if param == "alpha" and sorted(values) == list(values):
         for (lo_v, lo_val, _, _), (hi_v, hi_val, _, _) in zip(rows, rows[1:]):
             if hi_val < lo_val - 1e-12:
-                print(
-                    f"error: reference value decreased from {param}={lo_v!r} "
-                    f"({lo_val!r}) to {param}={hi_v!r} ({hi_val!r})",
-                    file=sys.stderr,
+                raise _VerificationFailed(
+                    f"reference value decreased from {param}={lo_v!r} "
+                    f"({lo_val!r}) to {param}={hi_v!r} ({hi_val!r})"
                 )
-                return EXIT_VERIFICATION
     print(f"sweep: {len(rows)} solves; outputs in {out_dir}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -796,39 +764,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit code of each failure a command raises (see the module docstring);
+#: a failure takes the code of the first class it is an instance of
+EXIT_CODES = {
+    ConfigError: 2,
+    MonotonicityError: 1,
+    _VerificationFailed: 1,
+    _NotConverged: 3,
+    OSError: 4,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_CONFIG if exc.code else EXIT_OK
+        return 2 if exc.code else 0
     try:
         config = load_config(args.config)
         try:
             if args.command == "solve":
-                return cmd_solve(config)
-            if args.command == "evaluate":
-                return cmd_evaluate(config, args.policy)
-            if args.command == "verify":
-                return cmd_verify(config, cap_scale=args.corrupt_cap)
-            if args.command == "sweep":
+                cmd_solve(config)
+            elif args.command == "evaluate":
+                cmd_evaluate(config, args.policy)
+            elif args.command == "verify":
+                cmd_verify(config, cap_scale=args.corrupt_cap)
+            else:
                 try:
                     values = [float(v) for v in args.values.split(",") if v.strip()]
                 except ValueError as exc:
                     raise ConfigError(f"--values: {exc}") from exc
-                return cmd_sweep(config, args.param, values)
-            raise ConfigError(f"unknown command {args.command!r}")
+                cmd_sweep(config, args.param, values)
         except OverflowError as exc:  # a sweep's values left the float range
             raise ConfigError(f"config.model.{config.model_kind}: {exc}") from exc
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MonotonicityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

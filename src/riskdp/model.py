@@ -581,6 +581,10 @@ def _check_shared_params(params):
         raise ValueError("sigma must be nonnegative")
     if params.action_bound < 0.0:
         raise ValueError("action bound must be nonnegative")
+    # the width of ``np.linspace(-b, b, n)``, which warns and builds NaN actions
+    # when it overflows; one action sits at zero whatever the bound
+    if params.n_actions > 1 and not math.isfinite(2.0 * params.action_bound):
+        raise ValueError("action range 2 * action_bound must be finite")
     if params.grid_points < 2:
         raise ValueError("grid needs at least two points")
     if params.n_actions < 1:

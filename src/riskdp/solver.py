@@ -88,8 +88,7 @@ class Policy:
 
 @dataclass
 class SolveReport:
-    """Outcome of value iteration, optionally extended with the near-optimal
-    policy assembly performed by the command-line driver.
+    """Outcome of value iteration.
 
     ``values_per_iteration`` starts at the zero function and is pointwise
     nondecreasing; ``residuals`` holds the sweep-to-sweep sup-norm
@@ -101,10 +100,6 @@ class SolveReport:
     converged: bool
     converged_value: np.ndarray
     stationary_policy: np.ndarray
-    horizon: Optional[int] = None
-    epsilon: Optional[float] = None
-    tail_bound: Optional[float] = None
-    policy: Optional[Policy] = None
 
     @property
     def sweeps(self) -> int:
@@ -112,22 +107,12 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         """JSON-ready dictionary with arrays in grid order."""
-        policy = None
-        if self.policy is not None:
-            policy = {
-                "stages": [rule.tolist() for rule in self.policy.stages],
-                "tail": None if self.policy.tail is None else self.policy.tail.tolist(),
-            }
         return {
             "values_per_iteration": [v.tolist() for v in self.values_per_iteration],
             "residuals": list(self.residuals),
             "converged": self.converged,
             "converged_value": self.converged_value.tolist(),
             "stationary_policy": self.stationary_policy.tolist(),
-            "horizon": self.horizon,
-            "epsilon": self.epsilon,
-            "tail_bound": self.tail_bound,
-            "policy": policy,
         }
 
 

@@ -1,16 +1,19 @@
 """Command-line driver: configuration validation, exit codes, output
 determinism, and the verification subcommand's fault detection."""
 
+import dataclasses
 import json
 import os
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from riskdp.cli import (
     ConfigError,
+    RunConfig,
     base_stationary_rule,
     main,
     parse_config,
@@ -84,6 +87,22 @@ def test_parse_config_applies_defaults():
     echo = config.resolved()
     assert echo["risk"] == {"kind": "expectation"}
     assert echo["discount"] == 0.5
+
+
+def test_readme_config_keys_are_the_accepted_and_echoed_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(example)
+    keys = [key.name for key in dataclasses.fields(RunConfig)]
+    assert list(doc) == keys == list(parse_config(doc).resolved())
+    # README: "model", "risk" and "discount" are required, the rest default
+    for key in keys:
+        partial = {k: v for k, v in doc.items() if k != key}
+        if key in ("model", "risk", "discount"):
+            with pytest.raises(ConfigError, match=f"config.{key}: required"):
+                parse_config(partial)
+        else:
+            assert list(parse_config(partial).resolved()) == keys
 
 
 def test_parse_config_rejects_unknown_key():
@@ -430,6 +449,11 @@ def test_solve_writes_outputs_and_reports_convergence(tmp_path):
     assert report["report"]["converged"] is True
     assert report["report"]["horizon"] >= 1
     assert report["report"]["tail_bound"] < report["config"]["epsilon"]
+    # the solver's report, then the epsilon-policy fields the command adds
+    assert list(report["report"]) == [
+        "values_per_iteration", "residuals", "converged", "converged_value",
+        "stationary_policy", "horizon", "epsilon", "tail_bound", "policy",
+    ]
     assert report["config"]["max_sweeps"] == 500
     residuals = report["report"]["residuals"]
     assert len(residuals) == len(report["report"]["values_per_iteration"]) - 1
@@ -861,6 +885,18 @@ def test_sweep_kappa(tmp_path):
     assert main(["sweep", "-c", config, "--param", "kappa", "--values", "0,0.25,0.5"]) == 0
     lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, setting",
+    [(["solve"], "alpha=0.3"), (["sweep", "--param", "alpha", "--values", "0.1"], "alpha=0.1")],
+)
+def test_non_convergence_exits_3_naming_the_risk_and_the_fields(tmp_path, capsys, argv, setting):
+    config = write_config(tmp_path, max_sweeps=1)
+    assert main([argv[0], "-c", config, *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: value iteration under risk kind='avar' ")
+    assert setting in err and "config.max_sweeps=1 " in err and "config.tolerance" in err
 
 
 def test_sweep_error_paths(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Fuzz the configuration documents: a small valid LQ or investment config
 with some of its fields replaced by values of the wrong type, negative,
 zero, huge, non-finite, ``null``, list or object values must end in one of
-the documented exit codes (0-4), never in a traceback."""
+the documented exit codes (0-4), never in a traceback or a numpy warning."""
 
 import json
 import os
 import sys
 import tempfile
+import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -86,8 +87,12 @@ def _found(kind, **fields):
 # largest float, made np.linspace warn
 @example(_found("lq", x_lo=-1e308, x_hi=1e308))
 @example(_found("investment", wealth_hi=sys.float_info.max, grid_points=7))
+# an action range 2 * action_bound that overflows made np.linspace warn
+@example(_found("lq", action_bound=1e308))
+@example(_found("investment", action_bound=1e308))
 def test_solve_on_a_fuzzed_config_returns_a_documented_exit_code(doc):
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
