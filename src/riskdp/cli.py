@@ -98,7 +98,7 @@ class RunConfig:
     Each field is one config key, in the order of the config echo: its
     annotation is the key's type and its default the key's default (a key
     without one is required).  ``model`` and ``risk`` come first and have
-    their own parsers.
+    their own parsers; ``model`` is the one ``{kind: parsed spec}`` pair.
     """
 
     model: dict
