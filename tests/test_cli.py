@@ -307,6 +307,11 @@ def test_unreadable_config_text_exits_2(tmp_path, capsys, data):
             {"lq": dict(LQ_MODEL["lq"], x_lo=-1e154, x_hi=1e154)},
             "config.model.lq: value bound max stage cost / (1 - discount) overflows",
         ),
+        # np.linspace(-b, b, n) warned and made NaN actions once 2 * b overflowed
+        (
+            {"lq": dict(LQ_MODEL["lq"], action_bound=1e308)},
+            "config.model.lq: action range 2 * action_bound must be finite",
+        ),
     ],
     ids=[
         "lq-over-budget",
@@ -316,6 +321,7 @@ def test_unreadable_config_text_exits_2(tmp_path, capsys, data):
         "growth-overflow",
         "cost-bound-overflow",
         "value-bound-overflow",
+        "action-range-overflow",
     ],
 )
 def test_model_out_of_budget_or_overflowing_exits_2(tmp_path, capsys, model, fragment):
@@ -890,6 +896,7 @@ def test_sweep_kappa(tmp_path):
 @pytest.mark.parametrize(
     "argv, setting",
     [(["solve"], "alpha=0.3"), (["sweep", "--param", "alpha", "--values", "0.1"], "alpha=0.1")],
+    ids=["solve", "sweep"],
 )
 def test_non_convergence_exits_3_naming_the_risk_and_the_fields(tmp_path, capsys, argv, setting):
     config = write_config(tmp_path, max_sweeps=1)

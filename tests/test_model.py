@@ -401,6 +401,20 @@ def test_parametric_models_reject_a_grid_width_that_overflows():
     assert np.isfinite(down).all() and (down[0], down[-1]) == (-top, 0.0)
 
 
+def test_parametric_models_reject_an_action_range_that_overflows():
+    """``np.linspace(-b, b, n)`` warns and makes NaN actions once ``2 * b``
+    overflows; a single action sits at zero whatever the bound."""
+    with pytest.raises(ValueError, match=r"action range 2 \* action_bound must be finite"):
+        LQParams(1.0, 1e308, -2.0, 2.0, 5, 3, 3)
+    with pytest.raises(ValueError, match=r"action range 2 \* action_bound must be finite"):
+        InvestmentParams(0.05, 0.0, 0.2, 1e308, 0.0, 2.0, 5, 2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lq = build_lq(LQParams(1.0, 1e308, -2.0, 2.0, 5, 1, 3), 0.5)
+        wealth = build_investment(InvestmentParams(0.05, 0.0, 0.2, 1e308, 0.0, 2.0, 5, 1, 3), 0.5)
+    assert lq.actions.values.tolist() == wealth.actions.values.tolist() == [0.0]
+
+
 def test_parametric_models_have_a_successor_atom_budget():
     from riskdp.model import MAX_SUCCESSOR_ATOMS, MAX_SUCCESSOR_PAIRS
 
