@@ -6,7 +6,14 @@ Subpackages:
 - ``model``: controlled Markov models (grids, actions, noise, transitions)
 - ``solver``: risk-averse Bellman operator, value iteration, policy assembly
 - ``oracle``: independent verification oracles (scenario trees, enumeration)
+- ``fixtures``: seeded random instances for the verification suites and tests
+- ``verify``: the oracle-agreement suites of ``riskdp verify``
 - ``cli``: JSON-configured command line driver
+
+Importing the package, or ``riskdp.cli``, loads ``risk``, ``model`` and
+``solver`` only.  The oracle names exported here (``avar_lp_oracle``,
+``exhaustive_policy_search`` and the others of ``_ORACLE_NAMES``) load
+``riskdp.oracle`` on first use.
 """
 
 from .model import (
@@ -25,15 +32,6 @@ from .model import (
     quantize_standard_normal,
     successor_distribution,
 )
-from .oracle import (
-    BudgetExceededError,
-    ScenarioTree,
-    avar_lp_oracle,
-    build_scenario_tree,
-    exhaustive_policy_search,
-    risk_neutral_dp,
-    scenario_tree_value,
-)
 from .risk import (
     AVaR,
     DiscreteDistribution,
@@ -42,16 +40,12 @@ from .risk import (
     KusuokaMixture,
     MeanDeviation,
     RiskSpec,
-    avar_dual,
     avar_duals,
     avar_primal,
-    density_cap,
     evaluate,
     kusuoka_evaluate,
-    mean_deviation_dual,
     mean_deviation_duals,
     mean_deviation_primal,
-    value_at_risk,
 )
 from .solver import (
     HorizonBound,
@@ -68,3 +62,19 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+#: ``riskdp.oracle``'s exports, read from it on each access (``__getattr__``)
+_ORACLE_NAMES = frozenset({
+    "BudgetExceededError", "ScenarioTree", "avar_lp_oracle", "build_scenario_tree",
+    "exhaustive_policy_search", "risk_neutral_dp", "scenario_tree_value",
+})
+
+
+def __getattr__(name):
+    # never stored in the package namespace, so each access returns the
+    # oracle module's current binding, a rebinding of it included
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

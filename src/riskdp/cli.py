@@ -7,7 +7,8 @@ Subcommands:
 - ``evaluate``: nested value of a policy read back from ``policy.csv``;
   writes ``values.csv``.
 - ``verify``: seeded agreement suites between the solver/risk evaluators
-  and the independent oracles; writes a counterexample on mismatch.
+  and the independent oracles (``riskdp.verify``, imported only by this
+  command); writes a counterexample on mismatch.
 - ``sweep``: re-solve across risk-parameter values; writes ``sweep.csv``.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
@@ -23,16 +24,10 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
-from typing import Iterator, List, Optional, Sequence, Tuple, get_type_hints
+from typing import List, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from .fixtures import (
-    random_distribution,
-    random_lq_model,
-    random_stage_policy,
-    random_tabular_model,
-)
 from .model import (
     InvestmentParams,
     LQParams,
@@ -41,25 +36,7 @@ from .model import (
     build_lq,
     build_tabular,
 )
-from .oracle import (
-    BudgetExceededError,
-    avar_lp_oracle,
-    exhaustive_policy_search,
-    risk_neutral_dp,
-    scenario_tree_value,
-)
-from .risk import (
-    AVaR,
-    Expectation,
-    KusuokaMixture,
-    MeanDeviation,
-    RiskSpec,
-    avar_duals,
-    avar_primal,
-    density_cap,
-    mean_deviation_duals,
-    mean_deviation_primal,
-)
+from .risk import AVaR, Expectation, KusuokaMixture, MeanDeviation, RiskSpec
 from .solver import (
     MonotonicityError,
     Policy,
@@ -140,15 +117,15 @@ def _parse_risk(doc) -> RiskSpec:
     _reject_extra(doc, {"kind", *fields}, "config.risk")
     try:
         args = {}
-        for name, caster in fields.items():
-            if caster is float:
+        for name, field_type in fields.items():
+            if field_type is float:
                 args[name] = _field(doc, name, float, where="config.risk")
             else:
                 # the mixture's (level, weight) pairs, not read by ``_field``,
-                # which would prefix the ConfigError of ``_finite`` again
+                # which would prefix the ConfigError of ``_typed`` again
                 where = f"config.risk.{name}"
                 args[name] = tuple(
-                    (_finite(float(a), f"{where}[{k}]"), _finite(float(w), f"{where}[{k}]"))
+                    (_typed(a, float, f"{where}[{k}]"), _typed(w, float, f"{where}[{k}]"))
                     for k, (a, w) in enumerate(doc[name])
                 )
         return cls(**args)
@@ -172,16 +149,31 @@ def _finite(value, where: str):
     return value
 
 
-def _field(doc: dict, key: str, caster, default=MISSING, where: str = "config"):
+#: the JSON value each config type takes, as a rejection names it
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(value, kind, where: str):
+    """``value`` as the config type ``kind``, or a ConfigError naming
+    ``where``: a count (``int``) takes a JSON integer, so ``41.0`` is
+    rejected, a real (``float``) any JSON number, returned as a finite
+    float, and ``str`` a string.  A JSON ``true`` or ``false`` is none of
+    them.  A real too large for a float raises ``OverflowError``."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{where}: expected {_JSON_TYPES[kind]}, got {value!r}")
+    return _finite(float(value), where) if kind is float else value
+
+
+def _field(doc: dict, key: str, kind, default=MISSING, where: str = "config"):
     if key not in doc:
         if default is MISSING:
             raise ConfigError(f"{where}.{key}: required field is missing")
         return default
     try:
-        value = caster(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+        return _typed(doc[key], kind, f"{where}.{key}")
+    except OverflowError as exc:
         raise ConfigError(f"{where}.{key}: {exc}") from exc
-    return _finite(value, f"{where}.{key}")
 
 
 #: risk class of each config ``kind``; the config fields, their order and
@@ -213,8 +205,8 @@ def _parse_model(doc, config_dir: str):
     fields = get_type_hints(MODELS[kind][0])
     _reject_extra(spec, set(fields), f"config.model.{kind}")
     parsed = {
-        name: _field(spec, name, caster, where=f"config.model.{kind}")
-        for name, caster in fields.items()
+        name: _field(spec, name, field_type, where=f"config.model.{kind}")
+        for name, field_type in fields.items()
     }
     return {kind: parsed}
 
@@ -269,9 +261,10 @@ def _load_tabular_file(path: str):
         if key not in doc:
             raise ConfigError(f"model file {path!r}: missing field {key!r}")
     _reject_extra(doc, {"states", "actions", "kernel", "costs"}, f"model file {path!r}")
+    where = f"config.model.tabular: model file {path!r} field"
+    n, m = (_typed(doc[key], int, f"{where} {key!r}") for key in ("states", "actions"))
     kernel = np.asarray(doc["kernel"], dtype=float)
     costs = np.asarray(doc["costs"], dtype=float)
-    n, m = int(doc["states"]), int(doc["actions"])
     if kernel.shape != (n, m, n):
         raise ConfigError(
             f"model file {path!r}: kernel shape {kernel.shape} does not match "
@@ -310,7 +303,7 @@ def compute_c_bar(config: RunConfig, model: MarkovModel, risk: RiskSpec) -> floa
         worst = max(abs(model.grid.lo), abs(model.grid.hi))
         sigma = float(config.model["lq"]["sigma"])
         try:
-            c_bar = 2.0 * worst ** 2 + 2.0 * sigma ** 2 * density_cap(risk)
+            c_bar = 2.0 * worst ** 2 + 2.0 * sigma ** 2 * risk.cap()
         except OverflowError:
             c_bar = math.inf
         if not math.isfinite(c_bar):
@@ -514,8 +507,22 @@ def cmd_solve(config: RunConfig):
     )
 
 
+#: largest ``(horizon + 1) * n_states`` an ``evaluate`` run accepts.  A stage
+#: of README's S config (41 states) took about 0.27 ms on a 2-vCPU Xeon, some
+#: 7 us a (stage, state) evaluation, so the budget is about a minute of
+#: sweeps; it admits a horizon of 10,000 on a 1,000-point grid
+MAX_EVALUATE_STAGE_STATES = 10 ** 7
+
+
 def cmd_evaluate(config: RunConfig, policy_path: str):
     model = build_model(config)
+    work = (config.horizon + 1) * model.n_states
+    if work > MAX_EVALUATE_STAGE_STATES:
+        raise ConfigError(
+            f"config.horizon: {config.horizon + 1} stages of {model.n_states} states are "
+            f"{work} (stage, state) evaluations, over the evaluate budget of "
+            f"{MAX_EVALUATE_STAGE_STATES}"
+        )
     out_dir = _ensure_output_dir(config)
     policy = read_policy_csv(policy_path, model)
     try:
@@ -526,166 +533,11 @@ def cmd_evaluate(config: RunConfig, policy_path: str):
     print(f"evaluate: horizon {config.horizon}; outputs in {out_dir}")
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    checks: int
-    max_error: float
-    passed: bool
-    counterexample: Optional[dict] = None
-
-
-#: largest disagreement between two routes that a verify check accepts
-AGREEMENT_TOL = 1e-9
-
-
-def _run_suite(name: str, cases: Iterator[Tuple[float, dict]]) -> SuiteResult:
-    """Tally one suite's ``(error, instance)`` checks.
-
-    The suite fails at the first error that is not within ``AGREEMENT_TOL``
-    (a NaN included), with that instance as the counterexample; the rest of
-    ``cases`` is never drawn.
-    """
-    worst = 0.0
-    checks = 0
-    for err, instance in cases:
-        checks += 1
-        if not err <= AGREEMENT_TOL:
-            return SuiteResult(name, checks, float(err), False, instance)
-        worst = max(worst, float(err))
-    return SuiteResult(name, checks, worst, True)
-
-
-def _largest(*errors: float) -> float:
-    """The largest of the nonnegative ``errors``, NaN if any is NaN: ``max``
-    alone may skip a NaN, a sum never does."""
-    return math.nan if math.isnan(sum(errors)) else max(errors)
-
-
-#: the levels and kappas each distribution of a risk-agreement suite is
-#: checked at, in check order
-TAIL_LEVELS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
-DEVIATION_KAPPAS = (0.0, 0.25, 0.5)
-
-
-def _tail_average_cases(rng, cap_scale: float):
-    for _ in range(200):
-        dist = random_distribution(rng, max_atoms=10)
-        atoms = dist.atoms
-        # one dual pass per distribution; the primal and the vertex LP keep
-        # one call per check, as the traced call counts of
-        # ``bench/reference.json`` record them
-        duals = avar_duals(TAIL_LEVELS, dist)
-        for alpha, (dual, density) in zip(TAIL_LEVELS, duals):
-            primal = avar_primal(alpha, dist)
-            try:
-                vertex = avar_lp_oracle(alpha, dist, cap_scale=cap_scale)
-            except RuntimeError as exc:
-                yield math.inf, {"alpha": alpha, "atoms": atoms, "error": str(exc)}
-                continue
-            err = _largest(
-                abs(primal - dual), abs(primal - vertex), abs(density.mass(dist) - 1.0)
-            )
-            yield err, {
-                "alpha": alpha,
-                "atoms": atoms,
-                "primal": primal,
-                "dual": dual,
-                "vertex_enumeration": vertex,
-            }
-
-
-def _mean_deviation_cases(rng):
-    for _ in range(200):
-        dist = random_distribution(rng, max_atoms=10)
-        atoms = dist.atoms
-        duals = mean_deviation_duals(DEVIATION_KAPPAS, dist)
-        for kappa, (dual, density) in zip(DEVIATION_KAPPAS, duals):
-            primal = mean_deviation_primal(kappa, dist)
-            err = _largest(abs(primal - dual), abs(density.mass(dist) - 1.0))
-            yield err, {"kappa": kappa, "atoms": atoms, "primal": primal, "dual": dual}
-
-
-def _dp_vs_exhaustive_cases(rng, depth: int):
-    for _ in range(10):
-        model = random_tabular_model(rng)
-        for risk in (Expectation(), AVaR(0.3), MeanDeviation(0.4)):
-            instance = {
-                "risk": _risk_to_json(risk),
-                "kernel": model.transition.kernel.tolist(),
-                "costs": model.cost_table.tolist(),
-                "depth": depth,
-            }
-            # the search first, so an oversized depth fails its budget at
-            # once instead of after a backward induction over every stage
-            try:
-                best, _ = exhaustive_policy_search(model, risk, depth)
-            except BudgetExceededError:
-                raise
-            except RuntimeError as exc:
-                # the search's own scenario-tree spot-check disagreed
-                yield math.inf, {**instance, "error": str(exc)}
-                continue
-            dp_values, _ = backward_induct(model, risk, depth)
-            err = float(np.max(np.abs(dp_values[0] - best)))
-            yield err, {**instance, "dp": dp_values[0].tolist(), "exhaustive": best.tolist()}
-
-
-def _tree_vs_policy_evaluation_cases(rng):
-    risks = (Expectation(), AVaR(0.3), MeanDeviation(0.4), KusuokaMixture(((0.0, 0.5), (0.5, 0.5))))
-    for trial in range(10):
-        model = random_tabular_model(rng) if trial % 2 == 0 else random_lq_model(rng)
-        depth = int(rng.integers(0, 4))
-        policy = random_stage_policy(rng, model, depth + 1)
-        risk = risks[trial % len(risks)]
-        w = evaluate_policy(model, risk, policy, depth)
-        stages = [r.tolist() for r in policy.stages]
-        for i in range(model.n_states):
-            err = abs(scenario_tree_value(model, risk, policy, depth, i) - w[i])
-            yield err, {
-                "risk": _risk_to_json(risk),
-                "depth": depth,
-                "state_index": i,
-                "stages": stages,
-            }
-
-
-def _risk_neutral_cases(rng):
-    horizon = 4
-    for _ in range(10):
-        model = random_tabular_model(rng)
-        neutral, _ = backward_induct(model, Expectation(), horizon)
-        level_zero, _ = backward_induct(model, AVaR(0.0), horizon)
-        reference = risk_neutral_dp(model, horizon)
-        err = _largest(
-            np.max(np.abs(neutral[0] - reference)),
-            np.max(np.abs(neutral[0] - level_zero[0])),
-        )
-        yield err, {
-            "kernel": model.transition.kernel.tolist(),
-            "costs": model.cost_table.tolist(),
-            "dp": neutral[0].tolist(),
-            "reference": reference.tolist(),
-        }
-
-
-def run_verification_suites(
-    seed: int, depth: int, cap_scale: float = 1.0
-) -> List[SuiteResult]:
-    """All oracle-agreement suites on instances seeded by ``seed``."""
-    rng = np.random.default_rng(seed)
-    return [
-        _run_suite("tail-average agreement", _tail_average_cases(rng, cap_scale)),
-        _run_suite("mean-deviation agreement", _mean_deviation_cases(rng)),
-        _run_suite("dp vs exhaustive search", _dp_vs_exhaustive_cases(rng, depth)),
-        _run_suite(
-            "policy evaluation vs scenario tree", _tree_vs_policy_evaluation_cases(rng)
-        ),
-        _run_suite("risk-neutral reference", _risk_neutral_cases(rng)),
-    ]
-
-
 def cmd_verify(config: RunConfig, cap_scale: float = 1.0):
+    # the suites and the oracles load here, so the other commands start without them
+    from .oracle import BudgetExceededError
+    from .verify import run_verification_suites
+
     out_dir = _ensure_output_dir(config)
     try:
         results = run_verification_suites(config.seed, config.horizon, cap_scale)

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import LQParams, MarkovModel, build_lq, build_tabular
+# the builders are called through their module, where a tool that rebinds
+# module-level functions (the benchmark's span tracer) finds them
+from . import model as _model
+from .model import LQParams, MarkovModel
 from .risk import DiscreteDistribution
 from .solver import Policy
 
@@ -52,7 +55,7 @@ def random_tabular_model(
     stage costs in [0, 1]."""
     kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     costs = rng.uniform(0.0, 1.0, size=(n_states, n_actions))
-    return build_tabular(kernel, costs, discount)
+    return _model.build_tabular(kernel, costs, discount)
 
 
 def random_lq_model(rng, grid_points: int = 9, n_actions: int = 3, noise_atoms: int = 3):
@@ -68,7 +71,7 @@ def random_lq_model(rng, grid_points: int = 9, n_actions: int = 3, noise_atoms: 
         noise_atoms=noise_atoms,
     )
     discount = float(rng.uniform(0.3, 0.7))
-    return build_lq(params, discount)
+    return _model.build_lq(params, discount)
 
 
 def random_stage_policy(rng, model: MarkovModel, n_stages: int) -> Policy:

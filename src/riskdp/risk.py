@@ -1,11 +1,11 @@
 """Coherent risk functionals on finite discrete distributions.
 
 A distribution is a finite list of (value, probability) atoms.  The module
-provides the left-side quantile, the tail-average risk (average value at
-risk) through two routes (quantile integral and a greedy dual density), the
-mean absolute-deviation risk (again primal and dual), and evaluation of the
-maximum over a finite family of tail-average mixtures.  All functionals
-interpret larger values as worse outcomes (costs).
+provides the tail-average risk (average value at risk) through two routes
+(quantile integral and a greedy dual density), the mean absolute-deviation
+risk (again primal and dual), and evaluation of the maximum over a finite
+family of tail-average mixtures.  All functionals interpret larger values
+as worse outcomes (costs).
 
 Each risk kind is one ``RiskSpec`` class carrying its config name, its value,
 its batched value over outcome rows and its dual density cap.
@@ -14,9 +14,9 @@ One greedy tail take (``_tail_take``) serves the tail-average primal, the
 level-batched dual and ``_batch_avar``, which runs it atoms-major for the
 exhaustive search's batched values.  The primal reads it through a bounded
 cache per (level, worst-first probabilities).  The dual (``avar_duals``)
-sorts a distribution once and forms the take once over a column of levels;
-``avar_dual`` is its one-level call.  ``mean_deviation_duals`` likewise
-forms a distribution's mean and sign vector once for every ``kappa``.  A
+sorts a distribution once and forms the take once over a column of levels,
+one level being a list of one.  ``mean_deviation_duals`` likewise forms
+a distribution's mean and sign vector once for every ``kappa``.  A
 dual's value is the expectation under the density it returns, so checking
 it checks that density.  The independent check of the tail-average primal
 and dual is the vertex-enumeration LP in ``riskdp.oracle``.
@@ -49,16 +49,12 @@ __all__ = [
     "AVaR",
     "MeanDeviation",
     "KusuokaMixture",
-    "value_at_risk",
     "avar_primal",
-    "avar_dual",
     "avar_duals",
     "mean_deviation_primal",
-    "mean_deviation_dual",
     "mean_deviation_duals",
     "kusuoka_evaluate",
     "evaluate",
-    "density_cap",
 ]
 
 #: probabilities must sum to one within this slack
@@ -370,22 +366,6 @@ def _check_kappa(kappa: float):
         raise ValueError(f"kappa must lie in [0, 1/2], got {kappa!r}")
 
 
-def value_at_risk(p: float, dist: DiscreteDistribution) -> float:
-    """Left-side quantile: the smallest value whose cumulative probability
-    reaches ``p``.
-
-    Cumulative probabilities are compared with a 1e-12 slack so that exact
-    atom boundaries are not missed to rounding.  ``p`` must lie in (0, 1].
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p!r}")
-    order = np.argsort(dist.values, kind="stable")
-    cum = np.cumsum(dist.probs[order])
-    idx = int(np.searchsorted(cum, p - PROB_TOL, side="left"))
-    idx = min(idx, len(cum) - 1)
-    return float(dist.values[order][idx])
-
-
 def _tail_take(alpha, sorted_probs: np.ndarray) -> np.ndarray:
     """Probability mass drawn from each atom (sorted worst first along the
     last axis) when the worst ``1 - alpha`` tail is collected greedily.
@@ -502,33 +482,24 @@ def avar_primal(alpha: float, dist: DiscreteDistribution) -> float:
     return (float(values.dot(take)) + 0.0) / (1.0 - alpha)
 
 
-def avar_dual(alpha: float, dist: DiscreteDistribution) -> Tuple[float, DualDensity]:
-    """Tail-average risk via its dual: maximize the reweighted expectation
-    over densities bounded by ``1 / (1 - alpha)`` with unit total mass.
+def avar_duals(
+    levels: Sequence[float], dist: DiscreteDistribution
+) -> List[Tuple[float, DualDensity]]:
+    """Tail-average risk via its dual at each of ``levels`` (read as
+    float64), in one pass over ``dist``: for each level, the largest
+    reweighted expectation over densities bounded by ``1 / (1 - alpha)``
+    with unit total mass, and that density.
 
     The maximizer is greedy: atoms are scanned from worst value to best
     (ties in input order), each receiving the capped density until the unit
     mass budget is spent, with a fractional weight on the boundary atom;
-    this is ``avar_primal``'s tail take divided by ``1 - alpha``.  Returns
-    the expectation under the maximizing density together with the density,
-    whose weights are aligned with the atoms of ``dist``: the one-level
-    call of ``avar_duals``.
-    """
-    return avar_duals((alpha,), dist)[0]
-
-
-def avar_duals(
-    levels: Sequence[float], dist: DiscreteDistribution
-) -> List[Tuple[float, DualDensity]]:
-    """``avar_dual`` at each of ``levels`` (read as float64), in one pass
-    over ``dist``.
-
-    Every level is checked before any arithmetic.  The atoms are sorted
-    once, and one ``_tail_take`` over the column of levels forms every
-    level's take; each row is then divided as ``avar_dual`` divides it, so
-    each level's value and weights are bit for bit those of its own call.
-    Each level gets its own checked ``DualDensity`` (a row of one weight
-    block), and its value is that row's ``DualDensity.expectation``.
+    this is ``avar_primal``'s tail take divided by ``1 - alpha``.  Every
+    level is checked before any arithmetic.  The atoms are sorted once, and
+    one ``_tail_take`` over the column of levels forms every level's take,
+    whose row ``l`` is the one-level take bit for bit.  Each level gets its
+    own checked ``DualDensity`` (a row of one weight block, aligned with
+    the atoms of ``dist``), and its value is that row's
+    ``DualDensity.expectation``.
     """
     for alpha in levels:
         _check_level(alpha)
@@ -564,27 +535,19 @@ def mean_deviation_primal(kappa: float, dist: DiscreteDistribution) -> float:
     return mean + kappa * dev
 
 
-def mean_deviation_dual(kappa: float, dist: DiscreteDistribution) -> Tuple[float, DualDensity]:
-    """Mean-deviation risk via its dual reweighting.
-
-    The maximizing density is ``1 + h - sum(h * probs)`` where ``h`` is
-    ``kappa`` times the sign of the deviation from the mean (zero on atoms
-    equal to the mean).  Returns the value and the density, aligned with
-    the atoms of ``dist``: the one-level call of ``mean_deviation_duals``.
-    """
-    return mean_deviation_duals((kappa,), dist)[0]
-
-
 def mean_deviation_duals(
     kappas: Sequence[float], dist: DiscreteDistribution
 ) -> List[Tuple[float, DualDensity]]:
-    """``mean_deviation_dual`` at each of ``kappas`` (read as float64), in
-    one pass over ``dist``.
+    """Mean-deviation risk via its dual reweighting at each of ``kappas``
+    (read as float64), in one pass over ``dist``.
 
-    Every ``kappa`` is checked before any arithmetic.  The mean and the
-    sign vector are formed once; each row's ``sum(h * probs)`` is its own
-    ``.dot``, so each level's value and weights are bit for bit those of
-    its own call, and each gets its own checked ``DualDensity``.
+    The maximizing density is ``1 + h - sum(h * probs)`` where ``h`` is
+    ``kappa`` times the sign of the deviation from the mean (zero on atoms
+    equal to the mean).  Every ``kappa`` is checked before any arithmetic.
+    The mean and the sign vector are formed once; each row's
+    ``sum(h * probs)`` is its own ``.dot``, so each level's value and
+    weights do not depend on the other levels, and each gets its own
+    checked ``DualDensity``, aligned with the atoms of ``dist``.
     """
     for kappa in kappas:
         _check_kappa(kappa)
@@ -621,11 +584,3 @@ def evaluate(spec: RiskSpec, dist: DiscreteDistribution) -> float:
     """Value of a risk specification on a distribution: ``spec.value``."""
     return spec.value(dist)
 
-
-def density_cap(spec: RiskSpec) -> float:
-    """Upper bound on the dual density weights of ``spec``: ``spec.cap``.
-
-    Used for tail bounds: the value of the functional on a nonnegative
-    outcome never exceeds ``density_cap(spec)`` times the expectation.
-    """
-    return spec.cap()

@@ -281,26 +281,42 @@ def evaluate_policy(
     Backward recursion from the zero terminal value: each stage is the
     Bellman sweep with the rule's one action per state, adding its stage
     cost to the discounted risk of the successor values.  The policy must
-    define a rule for every stage in the range.
+    define a rule for every stage in the range; each listed rule and the
+    tail rule is checked once, whatever the horizon.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
-    n = model.n_states
-    w = np.zeros(n)
+    # each rule is checked once, before any sweep, in the order the recursion
+    # reaches it: the tail (named by stage ``horizon``), then the listed
+    # stages downward, so the first bad rule is reported as a stage-by-stage
+    # check would report it
+    listed = min(horizon + 1, len(policy.stages))
+    tail = None
+    if horizon >= listed:
+        tail = _one_action_choices(model, policy.rule(horizon), horizon)
+    stages = [_one_action_choices(model, policy.stages[s], s) for s in reversed(range(listed))]
+    stages.reverse()
+    w = np.zeros(model.n_states)
     for stage in range(horizon, -1, -1):
-        rule = policy.rule(stage)
-        if rule.shape != (n,):
-            raise ValueError("policy rules must align with the grid")
-        choices = []
-        for i, a_idx in enumerate(rule.tolist()):
-            if a_idx not in model.actions.indices_for(i):
-                raise ValueError(
-                    f"stage {stage} assigns inadmissible action index "
-                    f"{a_idx} at state {i}"
-                )
-            choices.append((a_idx,))
-        w, _ = _sweep(model, risk, w, choices)
+        w, _ = _sweep(model, risk, w, stages[stage] if stage < listed else tail)
     return w
+
+
+def _one_action_choices(model: MarkovModel, rule: np.ndarray, stage: int) -> list:
+    """``_sweep``'s choices for ``rule``, the one action it picks at each
+    state; a rule that does not align with the grid or picks an
+    inadmissible action raises ``ValueError`` naming ``stage``."""
+    if rule.shape != (model.n_states,):
+        raise ValueError("policy rules must align with the grid")
+    choices = []
+    for i, a_idx in enumerate(rule.tolist()):
+        if a_idx not in model.actions.indices_for(i):
+            raise ValueError(
+                f"stage {stage} assigns inadmissible action index "
+                f"{a_idx} at state {i}"
+            )
+        choices.append((a_idx,))
+    return choices
 
 
 def supersolution_check(v, model: MarkovModel, risk: RiskSpec) -> bool:

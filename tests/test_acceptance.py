@@ -31,11 +31,10 @@ from riskdp.risk import (
     Expectation,
     KusuokaMixture,
     MeanDeviation,
-    avar_dual,
+    avar_duals,
     avar_primal,
-    density_cap,
     evaluate,
-    mean_deviation_dual,
+    mean_deviation_duals,
     mean_deviation_primal,
 )
 from riskdp.solver import (
@@ -108,13 +107,13 @@ def test_02_primal_dual_vertex_agreement():
         dist = random_distribution(rng, max_atoms=10)
         for alpha in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
             primal = avar_primal(alpha, dist)
-            dual, _ = avar_dual(alpha, dist)
+            dual, _ = avar_duals((alpha,), dist)[0]
             vertex = avar_lp_oracle(alpha, dist)
             worst = max(worst, abs(primal - dual), abs(primal - vertex))
             checks += 1
         for kappa in (0.0, 0.25, 0.5):
             primal = mean_deviation_primal(kappa, dist)
-            dual, _ = mean_deviation_dual(kappa, dist)
+            dual, _ = mean_deviation_duals((kappa,), dist)[0]
             worst = max(worst, abs(primal - dual))
             checks += 1
     elapsed = time.perf_counter() - start
@@ -262,7 +261,7 @@ def test_07_assembled_policy_is_epsilon_optimal(lq_fixture):
     v_star = value_iterate(lq_fixture, risk, 1e-9, 200).converged_value
     worst_state = max(abs(lq_fixture.grid.lo), abs(lq_fixture.grid.hi))
     sigma = 1.0
-    c_bar = 2.0 * worst_state**2 + 2.0 * sigma**2 * density_cap(risk)
+    c_bar = 2.0 * worst_state**2 + 2.0 * sigma**2 * risk.cap()
     n0, tail = epsilon_horizon(c_bar, lq_fixture.discount, epsilon)
     _, stage_rules = backward_induct(lq_fixture, risk, n0)
     zero_action = int(np.argmin(np.abs(lq_fixture.actions.values)))
@@ -316,7 +315,7 @@ def test_09_quadratic_zero_policy_within_admissibility_bound():
     w = evaluate_policy(model, risk, policy, 60)
     value = float(w[model.grid.nearest_index(1.0)])
     x0 = 1.0
-    bound = 2.0 * x0**2 + 2.0 * params.sigma**2 * density_cap(risk) / (1.0 - 0.5)
+    bound = 2.0 * x0**2 + 2.0 * params.sigma**2 * risk.cap() / (1.0 - 0.5)
     ok = value <= bound
     _report(
         "09 quadratic zero-policy bound",

@@ -8,14 +8,19 @@ tracer of ``bench/spans.py`` and requires the call counts of one
 ``verify`` at horizon 1 and on two fixed scenario trees, so a change to the
 call graph fails here in about a second.  One more runs the benchmark's own
 ``verify-oracles`` operation at its default seed and compares every count
-with ``bench/reference.json``, which it only reads.
+with ``bench/reference.json``, which it only reads.  Another runs ``verify``
+in a fresh interpreter under two tracers in turn, the first of them
+installed when ``riskdp.verify`` is first imported, and requires equal
+counts from both.
 """
 
 import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +236,61 @@ def test_traced_verify_oracles_operation_has_the_reference_counts(tmp_path, caps
     assert counts["risk.evaluate_calls"] == 5094
     assert counts["risk.avar_primal_calls"] == 3719
     assert counts["oracle.sequences"] == 1966080
+
+
+#: two tracers, one after the other, each around one ``verify`` of the config
+#: at ``argv[2]`` in a fresh interpreter; prints both tracers' integer counts
+#: and calls per span name
+TWO_TRACERS_PROBE = """\
+import importlib.util, json, sys
+from collections import Counter
+
+sys.dont_write_bytecode = True
+spec = importlib.util.spec_from_file_location("riskdp_bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+import riskdp.cli
+
+lazy = sorted({"riskdp.fixtures", "riskdp.verify"} & set(sys.modules))
+runs = []
+for _ in range(2):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = riskdp.cli.main(["verify", "-c", sys.argv[2]])
+    finally:
+        tracer.uninstall()
+    layer = tracer.layer_metrics(0)
+    runs.append({
+        "code": code,
+        "counts": {k: v for k, v in layer.items() if isinstance(v, int)},
+        "calls": Counter(span[2] for span in tracer.spans),
+    })
+print(json.dumps({"loaded_before": lazy, "runs": runs}))
+"""
+
+
+def test_a_second_tracer_sees_every_call_of_a_verify_imported_under_the_first(tmp_path):
+    """``riskdp.verify`` and ``riskdp.fixtures`` are first imported inside a
+    ``verify`` traced by tracer A.  After A is uninstalled, tracer B must
+    count the same ``verify`` exactly as A did: a name that either module
+    imported from a traced module while A was installed would still hold
+    A's wrapper, and B would miss its calls."""
+    config = write_lq_config(tmp_path, horizon=1)
+    src = str(Path(riskdp.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", TWO_TRACERS_PROBE, SPANS_PATH, str(config)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["loaded_before"] == []
+    first, second = result["runs"]
+    assert first["code"] == second["code"] == 0
+    assert first["counts"]["oracle.lp_calls"] > 0 and first["counts"]["risk.avar_primal_calls"] > 0
+    assert second["counts"] == first["counts"]
+    assert second["calls"] == first["calls"]

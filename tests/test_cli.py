@@ -217,6 +217,70 @@ def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, overrides,
     assert not (tmp_path / "out").exists()
 
 
+def lq_fields(**fields):
+    return {"model": {"lq": dict(LQ_MODEL["lq"], **fields)}}
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        (lq_fields(grid_points=5.9), "config.model.lq.grid_points: expected an integer, got 5.9"),
+        (lq_fields(grid_points=11.0), "config.model.lq.grid_points: expected an integer, got 11.0"),
+        (lq_fields(sigma="1"), "config.model.lq.sigma: expected a number, got '1'"),
+        ({"max_sweeps": 2.9}, "config.max_sweeps: expected an integer, got 2.9"),
+        ({"horizon": True}, "config.horizon: expected an integer, got True"),
+        ({"seed": True}, "config.seed: expected an integer, got True"),
+        ({"discount": "0.5"}, "config.discount: expected a number, got '0.5'"),
+        ({"epsilon": False}, "config.epsilon: expected a number, got False"),
+        (
+            {"risk": {"kind": "avar", "alpha": "0.5"}},
+            "config.risk.alpha: expected a number, got '0.5'",
+        ),
+        (
+            {"risk": {"kind": "kusuoka", "components": [[0.0, True]]}},
+            "config.risk.components[0]: expected a number, got True",
+        ),
+        ({"output_dir": 5}, "config.output_dir: expected a string, got 5"),
+        ({"output_dir": None}, "config.output_dir: expected a string, got None"),
+    ],
+    ids=[
+        "grid_points-fraction", "grid_points-integral-float", "sigma-string",
+        "max_sweeps-fraction", "horizon-bool", "seed-bool", "discount-string", "epsilon-bool",
+        "alpha-string", "components-bool", "output_dir-number", "output_dir-null",
+    ],
+)
+def test_values_of_the_wrong_json_type_exit_2_naming_the_field(tmp_path, capsys, overrides, message):
+    """A count takes a JSON integer, a real any JSON number and
+    ``output_dir`` a string; a boolean is none of them, and a value is never
+    cast to the field's type."""
+    config = write_config(tmp_path, **overrides)
+    assert main(["solve", "-c", config]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_integers_are_accepted_as_reals_and_echoed_as_floats():
+    doc = {"model": {"lq": dict(LQ_MODEL["lq"], sigma=1)}, "risk": {"kind": "avar", "alpha": 0}}
+    echo = parse_config({**doc, "discount": 0.5, "epsilon": 1}).resolved()
+    assert echo["model"]["lq"]["sigma"] == 1.0 and isinstance(echo["model"]["lq"]["sigma"], float)
+    assert isinstance(echo["risk"]["alpha"], float) and isinstance(echo["epsilon"], float)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("states", 2.0), ("states", True), ("actions", "2"), ("actions", 2.5)]
+)
+def test_tabular_sizes_of_the_wrong_json_type_exit_2(tmp_path, capsys, key, value):
+    config = write_tabular_config(tmp_path)
+    model_path = tmp_path / "tab.json"
+    doc = json.loads(model_path.read_text())
+    doc[key] = value
+    model_path.write_text(json.dumps(doc))
+    assert main(["solve", "-c", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.model.tabular: model file ")
+    assert err.endswith(f" field {key!r}: expected an integer, got {value!r}\n")
+
+
 def test_tabular_file_with_infinite_size_exits_2(tmp_path, capsys):
     config = write_tabular_config(tmp_path)
     model_path = tmp_path / "tab.json"
@@ -720,6 +784,32 @@ def test_evaluate_requires_policy_for_full_horizon(tmp_path, capsys):
     assert "no decision rule for stage" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_horizon_over_its_budget_before_any_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    import riskdp.cli as cli
+
+    def no_evaluation(*args):
+        raise AssertionError("policy evaluation ran")
+
+    monkeypatch.setattr(cli, "evaluate_policy", no_evaluation)
+    policy = tmp_path / "policy.csv"
+    policy.write_text("stage,state,action\n-1,0.0,0.0\n-1,1.0,0.0\n")
+    # the tabular model has 2 states, so horizon + 1 stages are 2 * (horizon + 1) evaluations
+    budget = cli.MAX_EVALUATE_STAGE_STATES
+    config = write_tabular_config(tmp_path, horizon=budget // 2)
+    assert main(["evaluate", "-c", config, "-p", str(policy)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config.horizon: {budget // 2 + 1} stages of 2 states are {budget + 2} "
+        f"(stage, state) evaluations, over the evaluate budget of {budget}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+    monkeypatch.setattr(cli, "evaluate_policy", lambda m, risk, p, horizon: np.zeros(m.n_states))
+    config = write_tabular_config(tmp_path, horizon=budget // 2 - 1)
+    assert main(["evaluate", "-c", config, "-p", str(policy)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -775,14 +865,14 @@ def test_verify_rejects_a_huge_depth_before_solving_it(tmp_path, capsys):
 
 
 def test_verify_reports_a_failed_spot_check_as_a_failed_suite(tmp_path, capsys, monkeypatch):
-    import riskdp.cli as cli
+    import riskdp.oracle
 
     def disagreeing(*args, **kwargs):
         raise RuntimeError(
             "batched enumeration disagrees with the scenario tree at state 0: 1.0 vs 2.0"
         )
 
-    monkeypatch.setattr(cli, "exhaustive_policy_search", disagreeing)
+    monkeypatch.setattr(riskdp.oracle, "exhaustive_policy_search", disagreeing)
     config = write_config(tmp_path, horizon=1)
     assert main(["verify", "-c", config]) == 1
     captured = capsys.readouterr()
@@ -843,9 +933,12 @@ def _nan_values(route):
     ],
 )
 def test_verify_fails_on_a_nan_from_any_route(tmp_path, capsys, monkeypatch, route, suite, wrap):
-    import riskdp.cli as cli
+    import riskdp
 
-    monkeypatch.setattr(cli, route, wrap(getattr(cli, route)))
+    # the defining module (``riskdp.oracle``, ``riskdp.risk`` or
+    # ``riskdp.solver``), through which the suites call every route
+    original = getattr(riskdp, route)
+    monkeypatch.setattr(sys.modules[original.__module__], route, wrap(original))
     config = write_config(tmp_path, horizon=1)
     assert main(["verify", "-c", config]) == 1
     captured = capsys.readouterr()

@@ -1,7 +1,9 @@
 """Fuzz the configuration documents: a small valid LQ or investment config
 with some of its fields replaced by values of the wrong type, negative,
 zero, huge, non-finite, ``null``, list or object values must end in one of
-the documented exit codes (0-4), never in a traceback or a numpy warning."""
+the documented exit codes (0-4), never in a traceback or a numpy warning.
+A config that is accepted must be echoed in ``report.json`` as written: a
+value is never cast to its field's type (an integer may stand for a real)."""
 
 import json
 import os
@@ -62,15 +64,41 @@ def config_documents(draw):
     return doc
 
 
-def _found(kind, **fields):
+def _found(kind, risk=None, **fields):
     """A config the random draws rarely reach that once ended in a
-    traceback."""
+    traceback, or was run with its values silently cast; a field named
+    ``config_<key>`` sets the config key ``<key>``."""
+    keys = {name[7:]: fields.pop(name) for name in list(fields) if name.startswith("config_")}
     return {
         "model": {kind: dict(MODELS[kind], **fields)},
-        "risk": {"kind": "avar", "alpha": 0.5},
+        "risk": risk or {"kind": "avar", "alpha": 0.5},
         "discount": 0.5,
         "output_dir": "out",
+        **keys,
     }
+
+
+def _json_type(value):
+    """The JSON type of a parsed value: a number whether int or float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float
+    return type(value)
+
+
+def _echoes(written, echoed):
+    """Whether ``echoed`` repeats ``written`` with the same JSON types; an
+    integer given for a real is echoed as the nearest float."""
+    if isinstance(written, dict):
+        return isinstance(echoed, dict) and written.keys() == echoed.keys() and all(
+            _echoes(value, echoed[key]) for key, value in written.items()
+        )
+    if isinstance(written, list):
+        return isinstance(echoed, list) and len(written) == len(echoed) and all(
+            _echoes(a, b) for a, b in zip(written, echoed)
+        )
+    if isinstance(echoed, float) and _json_type(written) is float:
+        return float(written) == echoed
+    return _json_type(written) is _json_type(echoed) and written == echoed
 
 
 @settings(max_examples=150, deadline=None)
@@ -90,10 +118,25 @@ def _found(kind, **fields):
 # an action range 2 * action_bound that overflows made np.linspace warn
 @example(_found("lq", action_bound=1e308))
 @example(_found("investment", action_bound=1e308))
+# values cast to the field's type: a count from a float, a real from a
+# string, an integer from a boolean, a directory name from a number
+@example(_found("lq", grid_points=5.9))
+@example(_found("lq", config_max_sweeps=2.9))
+@example(_found("lq", config_discount="0.5"))
+@example(_found("lq", risk={"kind": "avar", "alpha": "0.5"}))
+@example(_found("lq", config_seed=True))
+@example(_found("lq", config_output_dir=5))
 def test_solve_on_a_fuzzed_config_returns_a_documented_exit_code(doc):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        assert main(["solve", "-c", path]) in (0, 1, 2, 3, 4)
+        code = main(["solve", "-c", path])
+        assert code in (0, 1, 2, 3, 4)
+        if code == 0:
+            assert isinstance(doc["output_dir"], str)
+            out = os.path.join(tmp, doc["output_dir"])
+            with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+                echo = json.load(fh)["config"]
+            assert _echoes({**doc, "output_dir": out}, {key: echo[key] for key in doc})

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskdp.oracle as oracle_mod
-from riskdp.cli import run_verification_suites
+from riskdp.verify import run_verification_suites
 from riskdp.fixtures import (
     random_distribution,
     random_lq_model,

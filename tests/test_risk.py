@@ -21,20 +21,31 @@ from riskdp.risk import (
     Expectation,
     KusuokaMixture,
     MeanDeviation,
-    avar_dual,
+    PROB_TOL,
     avar_duals,
     avar_primal,
-    density_cap,
     evaluate,
     kusuoka_evaluate,
-    mean_deviation_dual,
     mean_deviation_duals,
     _tail_take,
     mean_deviation_primal,
-    value_at_risk,
 )
 
 TWO_POINT = DiscreteDistribution.from_atoms([(0.0, 0.5), (10.0, 0.5)])
+
+
+def value_at_risk(p, dist):
+    """Left-side quantile: the smallest value whose cumulative probability
+    reaches ``p`` in (0, 1], with a ``PROB_TOL`` slack so that exact atom
+    boundaries are not missed to rounding.  A test helper, the quantile
+    whose integral over (alpha, 1] the tail average is."""
+    if not (0.0 < p <= 1.0):
+        raise ValueError(f"p must lie in (0, 1], got {p!r}")
+    order = np.argsort(dist.values, kind="stable")
+    cum = np.cumsum(dist.probs[order])
+    idx = int(np.searchsorted(cum, p - PROB_TOL, side="left"))
+    idx = min(idx, len(cum) - 1)
+    return float(dist.values[order][idx])
 
 
 def oracle_tail_average(alpha, atoms):
@@ -184,7 +195,7 @@ def test_avar_primal_matches_exact_oracle():
 
 
 def test_avar_dual_two_point_frozen():
-    value, density = avar_dual(0.25, TWO_POINT)
+    value, density = avar_duals((0.25,), TWO_POINT)[0]
     assert value == pytest.approx(20.0 / 3.0, abs=1e-12)
     # worst atom takes the full cap 4/3, the rest of the unit mass (1/3)
     # lands on the atom at 0 with weight 2/3
@@ -193,20 +204,20 @@ def test_avar_dual_two_point_frozen():
 
 
 def test_avar_dual_level_zero_forces_unit_weights():
-    value, density = avar_dual(0.0, TWO_POINT)
+    value, density = avar_duals((0.0,), TWO_POINT)[0]
     assert value == pytest.approx(5.0, abs=1e-12)
     assert density.weights == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_avar_dual_tie_splits_in_input_order():
     d = DiscreteDistribution.from_atoms([(5.0, 0.5), (5.0, 0.5)])
-    _, density = avar_dual(0.5, d)
+    _, density = avar_duals((0.5,), d)[0]
     # cap is 2; the first of the tied atoms absorbs the whole budget
     assert density.weights == pytest.approx([2.0, 0.0], abs=1e-12)
 
 
 def test_avar_rejects_bad_level():
-    for fn in (avar_primal, avar_dual):
+    for fn in (avar_primal, lambda alpha, dist: avar_duals((alpha,), dist)):
         with pytest.raises(ValueError):
             fn(1.0, TWO_POINT)
         with pytest.raises(ValueError):
@@ -220,7 +231,7 @@ def test_avar_rejects_bad_level():
 def test_mean_deviation_frozen():
     d = DiscreteDistribution.from_atoms([(0.0, 0.5), (2.0, 0.5)])
     assert mean_deviation_primal(0.5, d) == pytest.approx(1.5, abs=1e-12)
-    value, density = mean_deviation_dual(0.5, d)
+    value, density = mean_deviation_duals((0.5,), d)[0]
     assert value == pytest.approx(1.5, abs=1e-12)
     # h = (-1/2, +1/2) has zero mean, so the weights are 1 + h
     assert density.weights == pytest.approx([0.5, 1.5], abs=1e-12)
@@ -238,12 +249,12 @@ def test_mean_deviation_matches_exact_oracle():
     for kappa in (0.0, 0.25, 0.5):
         expected = float(oracle_mean_deviation(kappa, atoms))
         assert mean_deviation_primal(kappa, d) == pytest.approx(expected, abs=1e-12)
-        value, _ = mean_deviation_dual(kappa, d)
+        value, _ = mean_deviation_duals((kappa,), d)[0]
         assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_mean_deviation_rejects_bad_kappa():
-    for fn in (mean_deviation_primal, mean_deviation_dual):
+    for fn in (mean_deviation_primal, lambda kappa, dist: mean_deviation_duals((kappa,), dist)):
         with pytest.raises(ValueError):
             fn(0.6, TWO_POINT)
         with pytest.raises(ValueError):
@@ -289,10 +300,10 @@ def test_evaluate_dispatch():
 
 
 def test_density_cap():
-    assert density_cap(Expectation()) == 1.0
-    assert density_cap(AVaR(0.5)) == pytest.approx(2.0)
-    assert density_cap(MeanDeviation(0.5)) == pytest.approx(2.0)
-    assert density_cap(KusuokaMixture(((0.0, 0.5), (0.5, 0.5)))) == pytest.approx(1.5)
+    assert Expectation().cap() == 1.0
+    assert AVaR(0.5).cap() == pytest.approx(2.0)
+    assert MeanDeviation(0.5).cap() == pytest.approx(2.0)
+    assert KusuokaMixture(((0.0, 0.5), (0.5, 0.5))).cap() == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +331,7 @@ kappas = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
 def test_property_avar_primal_equals_dual(atom_list, alpha):
     d = build(atom_list)
     primal = avar_primal(alpha, d)
-    dual_value, density = avar_dual(alpha, d)
+    dual_value, density = avar_duals((alpha,), d)[0]
     assert abs(primal - dual_value) <= 1e-9
     cap = 1.0 / (1.0 - alpha)
     assert abs(density.mass(d) - 1.0) <= 1e-9
@@ -382,7 +393,7 @@ def test_property_atom_splitting_invariance(atom_list, alpha, kappa):
 def test_property_mean_deviation_primal_equals_dual(atom_list, kappa):
     d = build(atom_list)
     primal = mean_deviation_primal(kappa, d)
-    dual_value, density = mean_deviation_dual(kappa, d)
+    dual_value, density = mean_deviation_duals((kappa,), d)[0]
     assert abs(primal - dual_value) <= 1e-9
     assert abs(density.mass(d) - 1.0) <= 1e-9
     assert np.all(density.weights >= -1e-12)
@@ -543,7 +554,7 @@ def test_dot_kernels_equal_their_matmul_forms_bit_for_bit(case):
     assert bits(mean_deviation_primal(kappa, dist)) == bits(
         matmul_mean_deviation_primal(kappa, dist)
     )
-    value, density = mean_deviation_dual(kappa, dist)
+    value, density = mean_deviation_duals((kappa,), dist)[0]
     expected_value, expected_weights = matmul_mean_deviation_dual(kappa, dist)
     assert bits(value) == bits(expected_value)
     assert density.weights.tobytes() == expected_weights.tobytes()
@@ -599,8 +610,8 @@ def test_dual_density_rejects_bad_weights_with_its_messages():
 
 
 def scalar_avar_dual(alpha, dist):
-    """``avar_dual``'s body as one call per level, with its tail take
-    written out: the reference the level-batched dual must match."""
+    """The tail-average dual at one level, with its tail take written
+    out: the reference the level-batched dual must match."""
     order = (-dist.values).argsort(kind="stable")
     probs_sorted = dist.probs[order]
     take = np.add.accumulate(probs_sorted)
@@ -614,7 +625,7 @@ def scalar_avar_dual(alpha, dist):
 
 
 def scalar_mean_deviation_dual(kappa, dist):
-    """``mean_deviation_dual``'s body as one call per level."""
+    """The mean-deviation dual at one level."""
     mean = float(dist.values.dot(dist.probs)) + 0.0
     h = kappa * np.sign(dist.values - mean)
     weights = 1.0 + h - (float(h.dot(dist.probs)) + 0.0)
@@ -622,9 +633,9 @@ def scalar_mean_deviation_dual(kappa, dist):
 
 
 def assert_batched_duals_match_scalar(dist, alphas, kappas_drawn):
-    for batched, one, scalar, drawn in (
-        (avar_duals, avar_dual, scalar_avar_dual, alphas),
-        (mean_deviation_duals, mean_deviation_dual, scalar_mean_deviation_dual, kappas_drawn),
+    for batched, scalar, drawn in (
+        (avar_duals, scalar_avar_dual, alphas),
+        (mean_deviation_duals, scalar_mean_deviation_dual, kappas_drawn),
     ):
         results = batched(drawn, dist)
         assert len(results) == len(drawn)
@@ -633,8 +644,8 @@ def assert_batched_duals_match_scalar(dist, alphas, kappas_drawn):
             assert isinstance(density, DualDensity)
             assert bits(value) == bits(expected_value)
             assert density.weights.tobytes() == expected_weights.tobytes()
-            # the one-level call is the batched call at that level
-            one_value, one_density = one(level, dist)
+            # a one-level list gives the batched call's row at that level
+            (one_value, one_density), = batched((level,), dist)
             assert bits(one_value) == bits(expected_value)
             assert one_density.weights.tobytes() == expected_weights.tobytes()
 

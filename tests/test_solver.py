@@ -303,6 +303,44 @@ def test_evaluate_policy_rejects_inadmissible_rule():
         evaluate_policy(model, Expectation(), policy, 0)
 
 
+def test_evaluate_policy_checks_each_rule_once_before_any_sweep(monkeypatch):
+    """Two listed stages and a tail over 41 stages: each of the three rules
+    is checked once, and a bad rule is reported before any sweep runs,
+    naming the stage that the recursion from the horizon down reaches
+    first."""
+    import riskdp.solver as solver
+
+    kernel = np.full((2, 2, 2), 0.5)
+    model = build_tabular(kernel, [[0.0, 0.0], [0.0, 0.0]], 0.5)
+    object.__setattr__(model.actions, "admissible", ((0,), (0, 1)))
+    good, bad = np.array([0, 1]), np.array([1, 1])
+    checked, swept = [], []
+    actions_type = type(model.actions)
+    indices_for = actions_type.indices_for
+    monkeypatch.setattr(
+        actions_type, "indices_for", lambda self, i: checked.append(i) or indices_for(self, i)
+    )
+    monkeypatch.setattr(
+        solver, "_sweep", lambda m, r, w, choices: swept.append(choices) or (w, None)
+    )
+
+    evaluate_policy(model, Expectation(), Policy(stages=(good, good), tail=good), 40)
+    assert checked == [0, 1] * 3
+    assert swept == [[(0,), (1,)]] * 41
+
+    swept.clear()
+    message = "^stage {} assigns inadmissible action index 1 at state 0$"
+    with pytest.raises(ValueError, match=message.format(40)):
+        evaluate_policy(model, Expectation(), Policy(stages=(bad, good), tail=bad), 40)
+    with pytest.raises(ValueError, match=message.format(1)):
+        evaluate_policy(model, Expectation(), Policy(stages=(bad, bad), tail=good), 40)
+    with pytest.raises(ValueError, match=message.format(0)):
+        evaluate_policy(model, Expectation(), Policy(stages=(bad, good), tail=good), 40)
+    with pytest.raises(ValueError, match="^policy defines no decision rule for stage 40$"):
+        evaluate_policy(model, Expectation(), Policy(stages=(bad, good)), 40)
+    assert swept == []
+
+
 # ---------------------------------------------------------------------------
 # supersolutions
 
