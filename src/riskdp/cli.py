@@ -85,7 +85,7 @@ class RunConfig:
     tolerance: float = _bounded(lambda t: t > 0.0, "must be positive", 1e-8)
     max_sweeps: int = _bounded(lambda s: s >= 1, "must be at least 1", 500)
     horizon: int = _bounded(lambda h: h >= 0, "must be nonnegative", 3)
-    seed: int = 0
+    seed: int = _bounded(lambda s: s >= 0, "must be nonnegative", 0)
     output_dir: str = "out"
 
     @property
@@ -508,8 +508,8 @@ def cmd_solve(config: RunConfig):
 
 
 #: largest ``(horizon + 1) * n_states`` an ``evaluate`` run accepts.  A stage
-#: of README's S config (41 states) took about 0.27 ms on a 2-vCPU Xeon, some
-#: 7 us a (stage, state) evaluation, so the budget is about a minute of
+#: of README's S config (41 states) took 0.27-0.37 ms on a 2-vCPU Xeon, some
+#: 7-9 us a (stage, state) evaluation, so the budget is about a minute of
 #: sweeps; it admits a horizon of 10,000 on a 1,000-point grid
 MAX_EVALUATE_STAGE_STATES = 10 ** 7
 

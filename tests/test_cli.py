@@ -127,6 +127,8 @@ def test_parse_config_rejects_unknown_key():
         ("tolerance", 0.0, "config.tolerance"),
         ("max_sweeps", 0, "config.max_sweeps"),
         ("horizon", -1, "config.horizon"),
+        # numpy's generator takes no negative seed, so ``verify`` would raise
+        ("seed", -1, "config.seed"),
     ],
 )
 def test_parse_config_names_the_bad_field(field, value, fragment):
