@@ -1,14 +1,14 @@
 """Seeded agreement suites between the solver and risk evaluators and the
 independent oracles: the work of ``riskdp verify``.
 
-Only ``verify`` imports this module, and with it ``riskdp.oracle`` and
-``riskdp.fixtures``, so ``solve``, ``evaluate`` and ``sweep`` start without
-them.  Every risk, solver and oracle function is called through its module
-(``risk.avar_primal``, ``oracle.avar_lp_oracle``), never through a name
-imported from it.  A tool that rebinds module-level functions, such as the
-benchmark's span tracer, then sees each call, also when this module is
-first imported while one such rebinding is in place and run again under
-the next.
+Of the commands, only ``verify`` imports this module, and with it
+``riskdp.oracle`` and ``riskdp.fixtures``, so ``solve``, ``evaluate`` and
+``sweep`` start without them.  Every risk, solver, oracle and fixture
+function is called through its module (``risk.avar_primal``,
+``oracle.avar_lp_oracle``), never through a name imported from it.  A
+tool that rebinds module-level functions, such as the benchmark's span
+tracer, then sees each call, also when this module is first imported while
+one such rebinding is in place and run again under the next.
 """
 
 from __future__ import annotations
