@@ -250,6 +250,21 @@ def load_config(path: str) -> RunConfig:
     return parse_config(_read_json(path, "config"), config_dir=config_dir)
 
 
+def _number_array(value, where: str) -> np.ndarray:
+    """``value``, nested lists of JSON numbers, as a float array; any other
+    entry (a string, a boolean, ``null``, an object) fails ``_typed``'s rule
+    for a real, naming ``where``; the first such entry in reading order is
+    the one named.  The shape is the caller's to check."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(reversed(item))
+        else:
+            _typed(item, float, where)
+    return np.asarray(value, dtype=float)
+
+
 def _load_tabular_file(path: str):
     try:
         doc = _read_json(path, f"model file {path!r}")
@@ -263,8 +278,7 @@ def _load_tabular_file(path: str):
     _reject_extra(doc, {"states", "actions", "kernel", "costs"}, f"model file {path!r}")
     where = f"config.model.tabular: model file {path!r} field"
     n, m = (_typed(doc[key], int, f"{where} {key!r}") for key in ("states", "actions"))
-    kernel = np.asarray(doc["kernel"], dtype=float)
-    costs = np.asarray(doc["costs"], dtype=float)
+    kernel, costs = (_number_array(doc[key], f"{where} {key!r}") for key in ("kernel", "costs"))
     if kernel.shape != (n, m, n):
         raise ConfigError(
             f"model file {path!r}: kernel shape {kernel.shape} does not match "

@@ -17,7 +17,6 @@ from .solver import Policy
 
 __all__ = [
     "random_distribution",
-    "random_outcome_pair",
     "random_tabular_model",
     "random_lq_model",
     "random_stage_policy",
@@ -32,20 +31,6 @@ def random_distribution(rng, max_atoms: int = 16, lo: float = -10.0, hi: float =
     probs = rng.uniform(0.05, 1.0, size=k)
     probs /= probs.sum()
     return DiscreteDistribution(values, probs)
-
-
-def random_outcome_pair(rng, max_atoms: int = 16, lo: float = -10.0, hi: float = 10.0):
-    """Shared atom probabilities with two outcome vectors on them.
-
-    Returns ``(probs, x, y)``; pairing outcomes on common atoms makes
-    pointwise mixtures and comparisons well defined.
-    """
-    k = int(rng.integers(2, max_atoms + 1))
-    probs = rng.uniform(0.05, 1.0, size=k)
-    probs /= probs.sum()
-    x = rng.uniform(lo, hi, size=k)
-    y = rng.uniform(lo, hi, size=k)
-    return probs, x, y
 
 
 def random_tabular_model(

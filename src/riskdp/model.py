@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .risk import DiscreteDistribution, _check_probs
+from .risk import PROB_TOL, DiscreteDistribution
 
 __all__ = [
     "StateGrid",
@@ -127,7 +127,9 @@ class NoiseModel:
 @dataclass(frozen=True)
 class Tabular:
     """Explicit transition kernel: ``kernel[i, a, j]`` is the probability of
-    moving from grid index ``i`` to ``j`` under action index ``a``."""
+    moving from grid index ``i`` to ``j`` under action index ``a``.  Every
+    entry is finite and nonnegative, and every row sums to one within
+    ``PROB_TOL``."""
 
     kernel: np.ndarray
 
@@ -139,7 +141,7 @@ class Tabular:
         if np.any(kernel < 0.0) or not np.all(np.isfinite(kernel)):
             raise ValueError("kernel entries must be finite and nonnegative")
         sums = kernel.sum(axis=2)
-        bad = np.argwhere(np.abs(sums - 1.0) > 1e-12)
+        bad = np.argwhere(np.abs(sums - 1.0) > PROB_TOL)
         if len(bad):
             i, a = (int(v) for v in bad[0])
             raise ValueError(
@@ -184,11 +186,14 @@ class MarkovModel:
     For a tabular kernel each pair holds the grid indices of the kernel
     row's support with their probabilities.  A sweep then only reads the
     grid values of the distinct states through the bracket.  The
-    probabilities a pair's successor distributions are made of (the group
-    probabilities, or the kernel row's) are checked once per pair, in the
-    pass, with the checks every ``DiscreteDistribution`` runs; each read
-    then checks only that its values are finite.  Each pair's arrays are
-    read-only views of the structure's, and the grid points are read-only.
+    probabilities are checked once, where the mechanism takes them:
+    ``Tabular`` checks the kernel rows and the noise's
+    ``DiscreteDistribution`` its probabilities.  A pair's probabilities
+    are the positive entries of a checked row, or sums of subsets of the
+    checked noise probabilities, so the pass does not check them again, and
+    each read checks only that its values are finite.  Each pair's arrays
+    are read-only views of the structure's, and the grid points are
+    read-only.
 
     Because the pass covers every pair, a ``next_state`` that raises on one
     pair raises the same exception at the first read of any pair, and
@@ -316,8 +321,11 @@ class MarkovModel:
     def _build_successors(self):
         """The successors of every admissible pair, keyed by (state index,
         action index), built in one pass over flat arrays; each pair holds
-        read-only views of them.  Each pair's probabilities (the group
-        probabilities, or the kernel row's support) pass ``_check_probs``."""
+        read-only views of them.  A pair's probabilities, the positive
+        entries of a kernel row ``Tabular`` checked or the sums of subsets
+        of the checked noise probabilities, are strictly positive and total
+        one within a few ulps of a checked total, so they are not checked
+        again."""
         pairs = [(i, a_idx) for i in range(self._n_states) for a_idx in self.actions.indices_for(i)]
         successors = {}
         if isinstance(self.transition, Tabular):
@@ -328,9 +336,7 @@ class MarkovModel:
                 array.setflags(False)
             offsets = np.concatenate(([0], mask.sum(axis=1).cumsum())).tolist()
             for key, start, stop in zip(pairs, offsets, offsets[1:]):
-                support = (indices[start:stop], probs[start:stop])
-                _check_probs(support[1])
-                successors[key] = support
+                successors[key] = (indices[start:stop], probs[start:stop])
             return successors
         noise_probs = self._noise_probs
         k = len(noise_probs)
@@ -374,10 +380,8 @@ class MarkovModel:
         points, q_lo, q_hi, frac = query.points, query.lo, query.hi, query.frac
         for p, key in enumerate(pairs):
             start, stop = offsets[p], offsets[p + 1]
-            probs = group_probs[start:stop]
-            _check_probs(probs)
             pair_query = _GridQuery(points, q_lo[start:stop], q_hi[start:stop], frac[start:stop])
-            successors[key] = (pair_query, noise_probs, inverse[p], probs)
+            successors[key] = (pair_query, noise_probs, inverse[p], group_probs[start:stop])
         return successors
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +59,6 @@ __all__ = [
 
 #: probabilities must sum to one within this slack
 PROB_TOL = 1e-12
-#: dual densities must average to one within this slack
-DENSITY_MASS_TOL = 1e-9
 #: read-only 0-d zero for the per-pair hot path: numpy 2 converts a Python
 #: float operand on every call, which costs more than the work on a few atoms
 _ZERO = np.zeros(())
@@ -105,13 +103,15 @@ class DiscreteDistribution:
         Only the values are checked here, and only at the two ends of
         ``listed``, the values (or the sorted values they were merged from)
         as a list: sorted floats have any ``-inf`` first and any ``+inf`` or
-        NaN last.  The caller, ``riskdp.model.successor_distribution``, checked
-        the probabilities with ``_check_probs`` once per pair, when the
-        model's successor structure was built.  Each call's ``probs`` are
-        those checked probabilities permuted, or sums of subsets of them
-        added in atom order: every one stays strictly positive, and their
-        total differs from the checked total only by the rounding of a
-        reordered sum, a few ulps, far inside ``PROB_TOL``.
+        NaN last.  The caller, ``riskdp.model.successor_distribution``, takes
+        the probabilities from the model's mechanism, which checked them once
+        when it was built: a ``Tabular`` kernel's rows, or the noise
+        ``DiscreteDistribution``'s probabilities.  Each call's ``probs`` are
+        the positive entries of a checked row or the checked noise
+        probabilities, permuted, or sums of subsets of them added in atom
+        order: every one stays strictly positive, and their total differs
+        from the checked total only by the rounding of a reordered sum, a
+        few ulps, far inside ``PROB_TOL``.
         """
         if not (math.isfinite(listed[0]) and math.isfinite(listed[-1])):
             raise ValueError("atom values must be finite")
@@ -148,16 +148,6 @@ class DiscreteDistribution:
         fields["probs"] = probs
         return dist
 
-    @classmethod
-    def from_atoms(cls, atoms: Iterable[Tuple[float, float]]) -> "DiscreteDistribution":
-        """Build from an iterable of (value, probability) pairs."""
-        pairs = list(atoms)
-        if not pairs:
-            raise ValueError("distribution needs at least one atom")
-        values = np.array([v for v, _ in pairs], dtype=float)
-        probs = np.array([p for _, p in pairs], dtype=float)
-        return cls(values, probs)
-
     @property
     def atoms(self) -> list:
         """Atoms as a list of (value, probability) tuples."""
@@ -190,9 +180,7 @@ def _check_values(values: np.ndarray):
 
 def _check_probs(probs: np.ndarray):
     """Every probability is strictly positive (``>`` is False on a NaN) and
-    they sum to one within ``PROB_TOL``.  A model runs it once per
-    (state, action) pair, when it builds its successor structure, on the
-    probabilities the pair's successor distributions are made of."""
+    they sum to one within ``PROB_TOL``."""
     if np.count_nonzero(probs > _ZERO) != len(probs):
         raise ValueError("atom probabilities must be strictly positive")
     total = float(np.add.reduce(probs))
@@ -205,8 +193,8 @@ class DualDensity:
     """Nonnegative reweighting of atoms certifying a dual representation.
 
     ``weights[i]`` multiplies the probability of atom ``i``; a valid density
-    satisfies ``sum(weights * probs) == 1`` within ``DENSITY_MASS_TOL`` and
-    is bounded by the cap of the risk functional that produced it.
+    has unit ``mass`` and is bounded by the cap of the risk functional that
+    produced it.
     """
 
     weights: np.ndarray
@@ -225,10 +213,6 @@ class DualDensity:
     def mass(self, dist: DiscreteDistribution) -> float:
         """Total reweighted probability mass against ``dist``."""
         return float(self.weights.dot(dist.probs)) + 0.0
-
-    def expectation(self, dist: DiscreteDistribution) -> float:
-        """Expectation of the atom values under the reweighted probabilities."""
-        return float((self.weights * dist.probs).dot(dist.values)) + 0.0
 
 
 class RiskSpec:
@@ -498,8 +482,8 @@ def avar_duals(
     one ``_tail_take`` over the column of levels forms every level's take,
     whose row ``l`` is the one-level take bit for bit.  Each level gets its
     own checked ``DualDensity`` (a row of one weight block, aligned with
-    the atoms of ``dist``), and its value is that row's
-    ``DualDensity.expectation``.
+    the atoms of ``dist``), and its value is the expectation of the atom
+    values under that row's reweighted probabilities.
     """
     for alpha in levels:
         _check_level(alpha)
@@ -512,9 +496,9 @@ def avar_duals(
 
 
 def _densities_and_values(weights: np.ndarray, dist: DiscreteDistribution) -> list:
-    """One checked ``DualDensity`` per row of ``weights`` and its
-    expectation against ``dist``, formed as ``DualDensity.expectation``
-    forms it: the row times the probabilities, then that row's ``.dot``."""
+    """One checked ``DualDensity`` per row of ``weights`` and the
+    expectation of the atom values under it: the row times the
+    probabilities, then that product's ``.dot`` with the values."""
     reweighted = weights * dist.probs
     values = dist.values
     return [

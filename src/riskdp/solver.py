@@ -69,11 +69,6 @@ class Policy:
         if not stages and self.tail is None:
             raise ValueError("policy needs at least one decision rule")
 
-    @classmethod
-    def stationary(cls, rule) -> "Policy":
-        """Policy applying one rule at every stage."""
-        return cls(stages=(), tail=np.asarray(rule, dtype=int))
-
     def rule(self, stage: int) -> np.ndarray:
         """Decision rule for a stage; the tail rule covers stages beyond
         the listed ones."""

@@ -14,7 +14,6 @@ from riskdp.cli import main as cli_main
 from riskdp.fixtures import (
     random_distribution,
     random_lq_model,
-    random_outcome_pair,
     random_stage_policy,
     random_tabular_model,
 )
@@ -50,6 +49,20 @@ from riskdp.solver import (
 def _report(tag: str, ok: bool, detail: str):
     print(f"[{tag}] {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"{tag}: {detail}"
+
+
+def random_outcome_pair(rng, max_atoms: int = 16, lo: float = -10.0, hi: float = 10.0):
+    """Shared atom probabilities with two outcome vectors on them.
+
+    Returns ``(probs, x, y)``; pairing outcomes on common atoms makes
+    pointwise mixtures and comparisons well defined.
+    """
+    k = int(rng.integers(2, max_atoms + 1))
+    probs = rng.uniform(0.05, 1.0, size=k)
+    probs /= probs.sum()
+    x = rng.uniform(lo, hi, size=k)
+    y = rng.uniform(lo, hi, size=k)
+    return probs, x, y
 
 
 def test_01_risk_axiom_suite():
@@ -281,7 +294,7 @@ def test_07_assembled_policy_is_epsilon_optimal(lq_fixture):
 
 def test_08_wealth_anchor_geometric_value(investment_fixture):
     zero_action = int(np.argmin(np.abs(investment_fixture.actions.values)))
-    policy = Policy.stationary(np.full(investment_fixture.n_states, zero_action))
+    policy = Policy(stages=(), tail=np.full(investment_fixture.n_states, zero_action))
     x0 = investment_fixture.grid.nearest_index(1.0)
     target = 1.0 / (1.0 - investment_fixture.discount)
     errs = {}
@@ -311,7 +324,7 @@ def test_09_quadratic_zero_policy_within_admissibility_bound():
     model = build_lq(params, 0.5)
     risk = AVaR(0.5)
     zero_action = int(np.argmin(np.abs(model.actions.values)))
-    policy = Policy.stationary(np.full(model.n_states, zero_action))
+    policy = Policy(stages=(), tail=np.full(model.n_states, zero_action))
     w = evaluate_policy(model, risk, policy, 60)
     value = float(w[model.grid.nearest_index(1.0)])
     x0 = 1.0

@@ -283,6 +283,36 @@ def test_tabular_sizes_of_the_wrong_json_type_exit_2(tmp_path, capsys, key, valu
     assert err.endswith(f" field {key!r}: expected an integer, got {value!r}\n")
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("kernel", [[["0.5", 0.5], [0.0, 1.0]]] * 2, "expected a number, got '0.5'"),
+        ("kernel", [[[True, False], [0.0, 1.0]]] * 2, "expected a number, got True"),
+        ("kernel", [[[None, 1.0], [0.0, 1.0]]] * 2, "expected a number, got None"),
+        ("costs", [["1"], [0.5]], "expected a number, got '1'"),
+        ("costs", [[1.0, {"c": 1.0}], [0.0, 0.0]], "expected a number, got {'c': 1.0}"),
+        ("costs", [[float("nan"), 1.0], [0.0, 0.0]], "must be finite, got nan"),
+    ],
+    ids=[
+        "kernel-string", "kernel-booleans", "kernel-null", "costs-string", "costs-object",
+        "costs-nan",
+    ],
+)
+def test_tabular_entries_of_the_wrong_json_type_exit_2(tmp_path, capsys, key, value, message):
+    """Every kernel and cost entry takes a finite JSON number, by the rule of
+    the config's reals: a string, a boolean or a null is not converted."""
+    config = write_tabular_config(tmp_path)
+    model_path = tmp_path / "tab.json"
+    doc = json.loads(model_path.read_text())
+    doc[key] = value
+    model_path.write_text(json.dumps(doc))
+    assert main(["solve", "-c", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.model.tabular: model file ")
+    assert err.endswith(f" field {key!r}: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "tab.json"]
+
+
 def test_tabular_file_with_infinite_size_exits_2(tmp_path, capsys):
     config = write_tabular_config(tmp_path)
     model_path = tmp_path / "tab.json"
@@ -999,6 +1029,49 @@ def test_non_convergence_exits_3_naming_the_risk_and_the_fields(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: value iteration under risk kind='avar' ")
     assert setting in err and "config.max_sweeps=1 " in err and "config.tolerance" in err
+
+
+@pytest.mark.parametrize("max_sweeps", [500, 5])
+@pytest.mark.parametrize(
+    "model, risk",
+    [
+        (
+            {"lq": dict(LQ_MODEL["lq"], grid_points=9, n_actions=3, noise_atoms=3)},
+            {"kind": "avar", "alpha": 0.5},
+        ),
+        (
+            {
+                "investment": {
+                    "mu": 0.12, "r": 0.02, "sigma": 0.2, "action_bound": 1.0,
+                    "wealth_lo": 0.0, "wealth_hi": 2.0 ** 20,
+                    "grid_points": 33, "n_actions": 5, "noise_atoms": 5,
+                }
+            },
+            {"kind": "mean_deviation", "kappa": 0.3},
+        ),
+    ],
+    ids=["lq-avar", "investment-mean-deviation"],
+)
+def test_an_unreachable_tolerance_exits_0_at_a_fixed_point_or_3(
+    tmp_path, capsys, model, risk, max_sweeps
+):
+    """A tolerance of 1e-300 at discount 0.9 is below every positive
+    residual the values' rounding leaves.  The run ends in exit 0 when value
+    iteration reaches an exact floating-point fixed point (its last residual
+    is 0.0; both models do within 500 sweeps), or in exit 3 naming
+    ``config.tolerance`` when ``max_sweeps`` runs out first, and never in
+    exit 1 or an exception."""
+    config = write_config(
+        tmp_path, model=model, risk=risk, discount=0.9, tolerance=1e-300, max_sweeps=max_sweeps
+    )
+    code = main(["solve", "-c", config])
+    err = capsys.readouterr().err
+    assert code in (0, 3)
+    if code == 0:
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+        assert report["converged"] and report["residuals"][-1] == 0.0
+    else:
+        assert "config.max_sweeps=" in err and "config.tolerance=1e-300 " in err
 
 
 def test_sweep_error_paths(tmp_path, capsys):

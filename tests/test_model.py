@@ -24,6 +24,7 @@ from riskdp.model import (
     quantize_standard_normal,
     successor_distribution,
 )
+from riskdp.risk import PROB_TOL
 
 # ---------------------------------------------------------------------------
 # grids and action sets
@@ -472,6 +473,25 @@ def test_build_tabular_rejects_bad_rows():
         build_tabular(kernel, [[0.0, 0.0], [0.0, 0.0]], 0.5)
     with pytest.raises(ValueError):
         build_tabular(np.full((2, 2, 3), 0.5), [[0.0, 0.0], [0.0, 0.0]], 0.5)
+
+
+@pytest.mark.parametrize(
+    "offset, accepted",
+    [(2 * PROB_TOL, False), (-2 * PROB_TOL, False), (PROB_TOL / 2, True), (-PROB_TOL / 2, True)],
+    ids=["twice-the-slack-high", "twice-the-slack-low", "half-the-slack-high", "half-the-slack-low"],
+)
+def test_tabular_rows_sum_to_one_within_prob_tol(offset, accepted):
+    """``Tabular`` is the one check of a tabular model's probabilities: a row
+    off by twice ``PROB_TOL`` is rejected, and one off by half of it builds a
+    model whose successor reads take the row as it is."""
+    kernel = [[[0.5, 0.5 + offset], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]]]
+    if not accepted:
+        with pytest.raises(ValueError, match="state 0, action 0 sums to"):
+            Tabular(np.array(kernel))
+        return
+    model = build_tabular(kernel, [[0.0, 0.0], [0.0, 0.0]], 0.5)
+    dist = successor_distribution(model, 0, 0, np.array([1.0, 2.0]))
+    assert dist.probs.tolist() == [0.5, 0.5 + offset]
 
 
 def test_build_tabular_rejects_negative_cost():

@@ -50,7 +50,7 @@ from riskdp.risk import (
 )
 from riskdp.solver import Policy, backward_induct, evaluate_policy
 
-TWO_POINT = DiscreteDistribution.from_atoms([(0.0, 0.5), (10.0, 0.5)])
+TWO_POINT = DiscreteDistribution([0.0, 10.0], [0.5, 0.5])
 
 
 def split_cost_model():
@@ -69,14 +69,14 @@ def split_cost_model():
 
 
 def test_tree_depth_zero_is_stage_cost(two_state_model):
-    policy = Policy.stationary(np.array([1, 1]))
+    policy = Policy(stages=(), tail=np.array([1, 1]))
     assert scenario_tree_value(two_state_model, Expectation(), policy, 0, 0) == 1.0
     assert scenario_tree_value(two_state_model, Expectation(), policy, 0, 1) == 0.0
 
 
 def test_tree_composes_tail_average():
     model = split_cost_model()
-    policy = Policy.stationary(np.array([0, 0]))
+    policy = Policy(stages=(), tail=np.array([0, 0]))
     # leaf values are the stage costs (0, 10); the level-0.5 tail average
     # of an even split is 10, discounted once
     value = scenario_tree_value(model, AVaR(0.5), policy, 1, 0)
@@ -86,7 +86,7 @@ def test_tree_composes_tail_average():
 
 
 def test_tree_structure_invariants(two_state_model):
-    policy = Policy.stationary(np.array([0, 0]))
+    policy = Policy(stages=(), tail=np.array([0, 0]))
     tree = build_scenario_tree(two_state_model, policy, 2, 0)
     assert tree.depth == 2
     assert tree.n_nodes == 3  # deterministic chain
@@ -113,7 +113,7 @@ def test_tree_budget_error(monkeypatch):
     monkeypatch.setattr(oracle_mod, "MAX_TREE_NODES", 50)
     rng = np.random.default_rng(0)
     model = random_tabular_model(rng)  # dense 4-state kernel
-    policy = Policy.stationary(np.array([0, 0, 0, 0]))
+    policy = Policy(stages=(), tail=np.array([0, 0, 0, 0]))
     with pytest.raises(BudgetExceededError):
         scenario_tree_value(model, Expectation(), policy, 12, 0)
 
@@ -140,7 +140,7 @@ def _left_for_the_collector(action):
 
 def test_a_dropped_tree_is_freed_by_reference_counting():
     model = random_tabular_model(np.random.default_rng(0))
-    policy = Policy.stationary(np.array([0, 0, 0, 0]))
+    policy = Policy(stages=(), tail=np.array([0, 0, 0, 0]))
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -158,7 +158,7 @@ def test_a_failed_tree_build_leaves_no_cycle(monkeypatch, failure):
     model = random_tabular_model(np.random.default_rng(0))
     if failure == "budget":
         monkeypatch.setattr(oracle_mod, "MAX_TREE_NODES", 50)
-        policy, error = Policy.stationary(np.array([0, 0, 0, 0])), BudgetExceededError
+        policy, error = Policy(stages=(), tail=np.array([0, 0, 0, 0])), BudgetExceededError
     else:
         # the root's rule is found; the error is raised one stage down
         policy, error = Policy(stages=(np.array([0, 0, 0, 0]),)), ValueError
@@ -205,7 +205,7 @@ def test_tree_matches_policy_evaluation_dynamics():
 
 
 def test_tree_rejects_bad_arguments(two_state_model):
-    policy = Policy.stationary(np.array([0, 0]))
+    policy = Policy(stages=(), tail=np.array([0, 0]))
     with pytest.raises(ValueError):
         scenario_tree_value(two_state_model, Expectation(), policy, -1, 0)
     with pytest.raises(ValueError):
@@ -216,7 +216,7 @@ def test_tree_rejects_bad_arguments(two_state_model):
     # rules that do not cover the grid, too short for the root or too long,
     # raise the error policy evaluation raises for them
     for rule in ([0], [0, 0, 5]):
-        short = Policy.stationary(rule)
+        short = Policy(stages=(), tail=rule)
         with pytest.raises(ValueError, match="policy rules must align with the grid"):
             evaluate_policy(two_state_model, Expectation(), short, 1)
         for depth in (0, 1):
@@ -516,7 +516,7 @@ def test_tree_checks_actions_only_at_reached_states():
     kernel[:2, :, :2] = 0.5
     kernel[2, :, 2] = 1.0
     model = masked(build_tabular(kernel, np.ones((3, 2)), 0.5), ((0, 1), (0, 1), (0,)))
-    policy = Policy.stationary(np.array([1, 0, 1]))
+    policy = Policy(stages=(), tail=np.array([1, 0, 1]))
     for depth in range(4):
         assert build_scenario_tree(model, policy, depth, 0) == reference_tree(model, policy, depth, 0)
     with pytest.raises(ValueError, match="stage 0 assigns inadmissible action index 1 at state 2"):

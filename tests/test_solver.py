@@ -241,7 +241,7 @@ def test_assemble_epsilon_policy_rejects_bad_input():
 
 
 def test_policy_stage_lookup():
-    stationary = Policy.stationary(np.array([1, 0]))
+    stationary = Policy(stages=(), tail=np.array([1, 0]))
     assert stationary.rule(0).tolist() == [1, 0]
     assert stationary.rule(7).tolist() == [1, 0]
     finite = Policy(stages=(np.array([0, 0]),))
@@ -258,7 +258,7 @@ def test_policy_stage_lookup():
 
 
 def test_evaluate_policy_two_state(two_state_model):
-    policy = Policy.stationary(np.array([1, 1]))
+    policy = Policy(stages=(), tail=np.array([1, 1]))
     for horizon in (0, 3, 20):
         w = evaluate_policy(two_state_model, Expectation(), policy, horizon)
         assert w == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -298,7 +298,7 @@ def test_evaluate_policy_rejects_inadmissible_rule():
     kernel = np.full((2, 2, 2), 0.5)
     model = build_tabular(kernel, [[0.0, 0.0], [0.0, 0.0]], 0.5)
     object.__setattr__(model.actions, "admissible", ((0,), (0, 1)))
-    policy = Policy.stationary(np.array([1, 1]))
+    policy = Policy(stages=(), tail=np.array([1, 1]))
     with pytest.raises(ValueError):
         evaluate_policy(model, Expectation(), policy, 0)
 

@@ -9,6 +9,7 @@ a bad pair or a failing ``next_state`` raises; and how often a solve checks
 probabilities, brackets successor states and computes tail takes."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -644,7 +645,7 @@ def test_each_dynamics_pair_is_bracketed_once_per_model(monkeypatch):
     risk = AVaR(0.5)
     v, _ = bellman_update(model, risk, np.zeros(model.n_states))
     v, rule = bellman_update(model, risk, v)
-    evaluate_policy(model, risk, Policy.stationary(rule), 3)
+    evaluate_policy(model, risk, Policy(stages=(), tail=rule), 3)
     distinct = [
         count_distinct_states(fresh_successors(model, i, a_idx))
         for i in range(model.n_states)
@@ -807,20 +808,22 @@ def test_cached_tail_takes_read_as_uncached_on_merged_and_unmerged_pairs():
     assert min(groups) < 5 == max(groups)
 
 
-def test_each_pair_checks_its_probabilities_once_and_tail_takes_are_shared(monkeypatch):
-    """Solving the 9 x 5 x 5 LQ model checks each pair's probabilities once,
-    when its successors are cached, and computes each distinct (level,
-    worst-first probabilities) tail take once, far fewer times than the
-    risk reads it."""
+def test_a_solve_checks_no_probabilities_and_tail_takes_are_shared(monkeypatch):
+    """Solving the 9 x 5 x 5 LQ model checks no probabilities: the noise
+    distribution checked them when it was built, and neither the successor
+    structure nor a read checks them again, by any name: a profile hook
+    counts every run of ``_check_probs``'s code.  Each distinct (level,
+    worst-first probabilities) tail take is computed once, far fewer times
+    than the risk reads it."""
     model = build_lq(LQParams(1.0, 2.0, -3.0, 3.0, 9, 5, 5), 0.5)
     checked, computed, requested = [], [], []
-    check_probs = risk_module._check_probs
+    check_code = risk_module._check_probs.__code__
     tail_take = risk_module._tail_take
     cached_tail_take = risk_module._cached_tail_take
 
-    def counting_check(probs):
-        checked.append(len(probs))
-        return check_probs(probs)
+    def counting_profile(frame, event, arg):
+        if event == "call" and frame.f_code is check_code:
+            checked.append(frame.f_locals["probs"])
 
     def counting_take(alpha, sorted_probs):
         computed.append((alpha, sorted_probs.tobytes()))
@@ -830,16 +833,18 @@ def test_each_pair_checks_its_probabilities_once_and_tail_takes_are_shared(monke
         requested.append((alpha, key))
         return cached_tail_take(alpha, key)
 
-    monkeypatch.setattr(risk_module, "_check_probs", counting_check)
-    monkeypatch.setattr(model_module, "_check_probs", counting_check)
     monkeypatch.setattr(risk_module, "_tail_take", counting_take)
     monkeypatch.setattr(risk_module, "_cached_tail_take", recording_cached_take)
     cached_tail_take.cache_clear()
     risk = AVaR(0.7)
-    report = value_iterate(model, risk, 1e-6, 200)
-    backward_induct(model, risk, 3)
+    sys.setprofile(counting_profile)
+    try:
+        report = value_iterate(model, risk, 1e-6, 200)
+        backward_induct(model, risk, 3)
+    finally:
+        sys.setprofile(None)
     pairs = model.n_states * model.n_actions
-    assert len(checked) == len(model._successors) == pairs
+    assert checked == [] and len(model._successors) == pairs
     assert sorted(computed) == sorted(set(requested))
     assert len(requested) == pairs * (report.sweeps + 4)
     assert 20 * len(computed) < len(requested)
@@ -1047,7 +1052,7 @@ def test_the_structure_is_built_on_the_first_read_and_never_again(monkeypatch, t
     risk = AVaR(0.5)
     v, rule = bellman_update(model, risk, np.zeros(9))
     bellman_update(model, risk, v)
-    evaluate_policy(model, risk, Policy.stationary(rule), 3)
+    evaluate_policy(model, risk, Policy(stages=(), tail=rule), 3)
     backward_induct(model, risk, 2)
     value_iterate(tabular, risk, 1e-6, 50)
     assert builds == [model, tabular]
