@@ -129,12 +129,14 @@ class Tabular:
     """Explicit transition kernel: ``kernel[i, a, j]`` is the probability of
     moving from grid index ``i`` to ``j`` under action index ``a``.  Every
     entry is finite and nonnegative, and every row sums to one within
-    ``PROB_TOL``."""
+    ``PROB_TOL``.  The kernel is a read-only copy, so the rows a model's
+    successors are read from are the rows checked here."""
 
     kernel: np.ndarray
 
     def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=float)
+        kernel = np.array(self.kernel, dtype=float)
+        kernel.setflags(write=False)
         object.__setattr__(self, "kernel", kernel)
         if kernel.ndim != 3:
             raise ValueError("kernel must be a (states, actions, states) array")
@@ -185,15 +187,14 @@ class MarkovModel:
     order, and the noise probabilities.
     For a tabular kernel each pair holds the grid indices of the kernel
     row's support with their probabilities.  A sweep then only reads the
-    grid values of the distinct states through the bracket.  The
-    probabilities are checked once, where the mechanism takes them:
-    ``Tabular`` checks the kernel rows and the noise's
-    ``DiscreteDistribution`` its probabilities.  A pair's probabilities
-    are the positive entries of a checked row, or sums of subsets of the
-    checked noise probabilities, so the pass does not check them again, and
-    each read checks only that its values are finite.  Each pair's arrays
-    are read-only views of the structure's, and the grid points are
-    read-only.
+    grid values of the distinct states through the bracket.  Probabilities
+    are checked once, where the model takes them: ``Tabular`` checks its
+    read-only copy of the kernel, and construction checks the model's
+    read-only copy of the noise probabilities.  A pair's are the positive
+    entries of a checked row or sums of subsets of the checked noise
+    probabilities, so neither the pass nor a read checks them again; a read
+    checks only that its values are finite.  Each pair's arrays are
+    read-only views of the structure's, and the grid points are read-only.
 
     Because the pass covers every pair, a ``next_state`` that raises on one
     pair raises the same exception at the first read of any pair, and
@@ -247,8 +248,11 @@ class MarkovModel:
         # filled on the first successor read, by ``_build_successors``
         self._successors = {}
         if isinstance(self.transition, Dynamics):
-            # read-only noise probabilities shared by every pair's successors
-            self._noise_probs = self.transition.noise.dist.probs.copy()
+            # read-only noise probabilities shared by every pair's successors,
+            # a copy checked as the noise distribution was: the caller's
+            # arrays may have changed since
+            noise = self.transition.noise.dist
+            self._noise_probs = DiscreteDistribution(noise.values, noise.probs.copy()).probs
             self._noise_probs.setflags(write=False)
 
     @property
@@ -321,11 +325,9 @@ class MarkovModel:
     def _build_successors(self):
         """The successors of every admissible pair, keyed by (state index,
         action index), built in one pass over flat arrays; each pair holds
-        read-only views of them.  A pair's probabilities, the positive
-        entries of a kernel row ``Tabular`` checked or the sums of subsets
-        of the checked noise probabilities, are strictly positive and total
-        one within a few ulps of a checked total, so they are not checked
-        again."""
+        read-only views of them.  The probabilities come from the checked
+        kernel or noise copy (see the class docstring), so they are not
+        checked again."""
         pairs = [(i, a_idx) for i in range(self._n_states) for a_idx in self.actions.indices_for(i)]
         successors = {}
         if isinstance(self.transition, Tabular):
@@ -730,7 +732,7 @@ def build_tabular(kernel, costs, discount: float) -> MarkovModel:
     ``0 .. n-1``; ``kernel[i][a][j]`` are transition probabilities and
     ``costs[i][a]`` the stage costs.
     """
-    mechanism = Tabular(np.asarray(kernel, dtype=float))
+    mechanism = Tabular(kernel)
     n, m, _ = mechanism.kernel.shape
     cost_table = np.asarray(costs, dtype=float)
     if cost_table.shape != (n, m):

@@ -104,14 +104,13 @@ class DiscreteDistribution:
         ``listed``, the values (or the sorted values they were merged from)
         as a list: sorted floats have any ``-inf`` first and any ``+inf`` or
         NaN last.  The caller, ``riskdp.model.successor_distribution``, takes
-        the probabilities from the model's mechanism, which checked them once
-        when it was built: a ``Tabular`` kernel's rows, or the noise
-        ``DiscreteDistribution``'s probabilities.  Each call's ``probs`` are
-        the positive entries of a checked row or the checked noise
-        probabilities, permuted, or sums of subsets of them added in atom
-        order: every one stays strictly positive, and their total differs
-        from the checked total only by the rounding of a reordered sum, a
-        few ulps, far inside ``PROB_TOL``.
+        the probabilities from read-only copies checked once, when the model
+        was built: a ``Tabular`` kernel's rows, or the noise probabilities.
+        Each call's ``probs`` are the positive entries of a checked row or
+        the checked noise probabilities, permuted, or sums of subsets of them
+        added in atom order: every one stays strictly positive, and their
+        total differs from the checked total only by the rounding of a
+        reordered sum, a few ulps, far inside ``PROB_TOL``.
         """
         if not (math.isfinite(listed[0]) and math.isfinite(listed[-1])):
             raise ValueError("atom values must be finite")

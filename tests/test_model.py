@@ -14,6 +14,7 @@ from riskdp.model import (
     InvestmentParams,
     LQParams,
     MarkovModel,
+    NoiseModel,
     StateGrid,
     Tabular,
     _uniform_grid,
@@ -24,7 +25,7 @@ from riskdp.model import (
     quantize_standard_normal,
     successor_distribution,
 )
-from riskdp.risk import PROB_TOL
+from riskdp.risk import PROB_TOL, DiscreteDistribution
 
 # ---------------------------------------------------------------------------
 # grids and action sets
@@ -492,6 +493,36 @@ def test_tabular_rows_sum_to_one_within_prob_tol(offset, accepted):
     model = build_tabular(kernel, [[0.0, 0.0], [0.0, 0.0]], 0.5)
     dist = successor_distribution(model, 0, 0, np.array([1.0, 2.0]))
     assert dist.probs.tolist() == [0.5, 0.5 + offset]
+
+
+def test_tabular_keeps_a_read_only_copy_of_the_kernel():
+    kernel = np.full((2, 2, 2), 0.5)
+    model = build_tabular(kernel, np.zeros((2, 2)), 0.5)
+    kernel[0, 0] = [5.0, -4.0]
+    assert not model.transition.kernel.flags.writeable
+    assert successor_distribution(model, 0, 0, np.array([1.0, 2.0])).probs.tolist() == [0.5, 0.5]
+
+
+def test_a_model_checks_its_copy_of_the_noise_probabilities():
+    """The probabilities every successor is made of are checked where the
+    model copies them: a change to the noise arrays after the distribution
+    was checked is rejected when the model is built, and one after the
+    model was built does not reach it."""
+    probs = np.array([0.5, 0.5])
+    noise = NoiseModel(DiscreteDistribution(np.array([-1.0, 1.0]), probs))
+    grid, actions = StateGrid(np.linspace(-2.0, 2.0, 5)), ActionSet(np.zeros(1))
+
+    def build():
+        dynamics = Dynamics(lambda x, a, xi: x + xi, noise)
+        return MarkovModel(grid, actions, dynamics, lambda x, a: x * x, 0.5)
+
+    probs[0] = 5.0
+    with pytest.raises(ValueError, match="atom probabilities sum to 5.5, not 1"):
+        build()
+    probs[0] = 0.5
+    model = build()
+    probs[0] = 5.0
+    assert successor_distribution(model, 2, 0, np.zeros(5)).probs.tolist() == [1.0]
 
 
 def test_build_tabular_rejects_negative_cost():
