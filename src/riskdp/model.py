@@ -11,13 +11,14 @@ grid points use piecewise-linear interpolation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .risk import PROB_TOL, DiscreteDistribution
+from .risk import PROB_TOL, DiscreteDistribution, _read_only_copy
 
 __all__ = [
     "StateGrid",
@@ -46,8 +47,7 @@ class StateGrid:
     def __post_init__(self):
         # a read-only copy: the successor brackets a model keeps are only
         # valid for the points they were computed on
-        points = np.array(self.points, dtype=float)
-        points.setflags(write=False)
+        points = _read_only_copy(self.points)
         object.__setattr__(self, "points", points)
         if points.ndim != 1 or len(points) < 2:
             raise ValueError("grid needs at least two points")
@@ -76,16 +76,19 @@ class StateGrid:
 class ActionSet:
     """Finite list of action values with optional per-state admissibility.
 
-    ``admissible`` maps each state index to the sorted action indices
-    allowed there; ``None`` allows every action everywhere.  Every
-    admissible set must be nonempty.
+    ``values`` is kept as a read-only copy, so a model's cost table and
+    successors are made from the same actions.  ``admissible`` maps each
+    state index to the sorted action indices allowed there; ``None`` allows
+    every action everywhere.  Every admissible set must be nonempty, and
+    each index an integer (of any integer type, or an integral float; a
+    boolean is not one).
     """
 
     values: np.ndarray
     admissible: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _read_only_copy(self.values)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) == 0:
             raise ValueError("action set must be a nonempty 1-d array")
@@ -94,7 +97,7 @@ class ActionSet:
         if self.admissible is not None:
             normalized = []
             for state, indices in enumerate(self.admissible):
-                idx = tuple(sorted(int(i) for i in indices))
+                idx = tuple(sorted(_index(i, f"state {state}") for i in indices))
                 if len(idx) == 0:
                     raise ValueError(f"state {state} has no admissible actions")
                 if idx[0] < 0 or idx[-1] >= len(values):
@@ -117,11 +120,30 @@ class ActionSet:
         return len(self.values)
 
 
+def _index(value, where: str) -> int:
+    """``value`` as an action index, or a ``ValueError`` naming ``where``:
+    an integer of any integer type, or a float with an integral value.  A
+    boolean, which ``int`` reads as 0 or 1, and a fraction, which ``int``
+    truncates, are rejected."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{where} lists action index {value!r}, which is not an integer")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Finitely supported noise driving point dynamics."""
+    """Finitely supported noise driving point dynamics: a
+    ``DiscreteDistribution``, whose checked read-only copies a model's
+    successors are made of with no further check."""
 
     dist: DiscreteDistribution
+
+    def __post_init__(self):
+        if not isinstance(self.dist, DiscreteDistribution):
+            raise TypeError(f"noise must be a DiscreteDistribution, got {type(self.dist).__name__}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +157,7 @@ class Tabular:
     kernel: np.ndarray
 
     def __post_init__(self):
-        kernel = np.array(self.kernel, dtype=float)
-        kernel.setflags(write=False)
+        kernel = _read_only_copy(self.kernel)
         object.__setattr__(self, "kernel", kernel)
         if kernel.ndim != 3:
             raise ValueError("kernel must be a (states, actions, states) array")
@@ -169,9 +190,9 @@ class MarkovModel:
 
     The stage cost is validated to be finite and nonnegative on every
     (grid point, admissible action) pair at construction time, and the
-    resulting table is cached.  The value bound ``max stage cost / (1 -
-    discount)``, above every value iterate, must be finite.  Instances are
-    treated as immutable after construction.
+    resulting table is kept read-only.  The value bound ``max stage cost /
+    (1 - discount)``, above every value iterate, must be finite.  Instances
+    are treated as immutable after construction.
 
     Relying on that rule, the model also keeps a successor structure: the
     successors of every admissible (state, action) pair.  Construction
@@ -187,14 +208,14 @@ class MarkovModel:
     order, and the noise probabilities.
     For a tabular kernel each pair holds the grid indices of the kernel
     row's support with their probabilities.  A sweep then only reads the
-    grid values of the distinct states through the bracket.  Probabilities
-    are checked once, where the model takes them: ``Tabular`` checks its
-    read-only copy of the kernel, and construction checks the model's
-    read-only copy of the noise probabilities.  A pair's are the positive
-    entries of a checked row or sums of subsets of the checked noise
-    probabilities, so neither the pass nor a read checks them again; a read
-    checks only that its values are finite.  Each pair's arrays are
-    read-only views of the structure's, and the grid points are read-only.
+    grid values of the distinct states through the bracket.  Each input is
+    checked once, by the type that holds its read-only copy: ``StateGrid``
+    the points, ``ActionSet`` the actions, ``Tabular`` the kernel and the
+    noise's ``DiscreteDistribution`` its atoms.  A pair's probabilities are
+    the positive entries of a checked row or sums of subsets of the checked
+    noise probabilities, so neither the pass nor a read checks them again;
+    a read checks only that its values are finite.  Each pair's arrays are
+    read-only views of the structure's.
 
     Because the pass covers every pair, a ``next_state`` that raises on one
     pair raises the same exception at the first read of any pair, and
@@ -244,16 +265,10 @@ class MarkovModel:
                 f"value bound max stage cost / (1 - discount) overflows: largest "
                 f"stage cost {worst!r} at discount {self.discount!r}"
             )
+        table.setflags(write=False)
         self._cost_table = table
         # filled on the first successor read, by ``_build_successors``
         self._successors = {}
-        if isinstance(self.transition, Dynamics):
-            # read-only noise probabilities shared by every pair's successors,
-            # a copy checked as the noise distribution was: the caller's
-            # arrays may have changed since
-            noise = self.transition.noise.dist
-            self._noise_probs = DiscreteDistribution(noise.values, noise.probs.copy()).probs
-            self._noise_probs.setflags(write=False)
 
     @property
     def cost_table(self) -> np.ndarray:
@@ -326,8 +341,8 @@ class MarkovModel:
         """The successors of every admissible pair, keyed by (state index,
         action index), built in one pass over flat arrays; each pair holds
         read-only views of them.  The probabilities come from the checked
-        kernel or noise copy (see the class docstring), so they are not
-        checked again."""
+        kernel or noise distribution (see the class docstring), so they are
+        not checked again."""
         pairs = [(i, a_idx) for i in range(self._n_states) for a_idx in self.actions.indices_for(i)]
         successors = {}
         if isinstance(self.transition, Tabular):
@@ -340,7 +355,7 @@ class MarkovModel:
             for key, start, stop in zip(pairs, offsets, offsets[1:]):
                 successors[key] = (indices[start:stop], probs[start:stop])
             return successors
-        noise_probs = self._noise_probs
+        noise_probs = self.transition.noise.dist.probs
         k = len(noise_probs)
         xis = self.transition.noise.dist.values.tolist()
         xs, acts = self.grid.points.tolist(), self.actions.values.tolist()
@@ -504,7 +519,8 @@ def successor_distribution(
     interpolation.  Atoms with identical values are merged, so the returned
     atoms are sorted ascending and distinct; their arrays are read-only, and
     ``avar_primal`` reads them worst first in that order instead of sorting
-    them again.
+    them again.  Only the values are checked here, at the two ends of their
+    sorted list, which hold any ``-inf`` first and any ``+inf`` or NaN last.
 
     For dynamics the atoms that reach one successor state were grouped when
     the model's successor structure was built, so only the distinct states
@@ -524,23 +540,27 @@ def successor_distribution(
     support = model._successors.get((state_index, action_index))
     if support is None:
         support = model._successor_support(state_index, action_index)
-    # ``DiscreteDistribution`` rejects any non-finite value the pair reads
     v_next = np.asarray(v_next, dtype=float)
     if v_next.shape != (model._n_states,):
         raise ValueError("v_next must align with the grid")
     if isinstance(model.transition, Tabular):
         indices, probs = support
-        return DiscreteDistribution._from_ascending(*_merge_atoms(v_next[indices], probs))
-    query, probs, inverse, group_probs = support
-    values = interpolate(model.grid, v_next, query)
-    order = values.argsort()
-    ascending = values[order]
-    # a set of Python floats keeps NaNs apart and merges 0.0 with -0.0, as
-    # ``!=`` on adjacent sorted values does, and builds faster on a few atoms
-    if len(set(listed := ascending.tolist())) == len(listed):
-        return DiscreteDistribution._from_ascending(ascending, group_probs[order], listed)
-    # a chance tie: distinct successor states read equal values
-    return DiscreteDistribution._from_ascending(*_merge_atoms(values[inverse], probs))
+        values, probs, listed = _merge_atoms(v_next[indices], probs)
+    else:
+        query, probs, inverse, group_probs = support
+        values = interpolate(model.grid, v_next, query)
+        order = values.argsort()
+        ascending = values[order]
+        # a set of Python floats keeps NaNs apart and merges 0.0 with -0.0, as
+        # ``!=`` on adjacent sorted values does, and builds faster on a few atoms
+        if len(set(listed := ascending.tolist())) == len(listed):
+            values, probs = ascending, group_probs[order]
+        else:
+            # a chance tie: distinct successor states read equal values
+            values, probs, listed = _merge_atoms(values[inverse], probs)
+    if not (math.isfinite(listed[0]) and math.isfinite(listed[-1])):
+        raise ValueError("atom values must be finite")
+    return DiscreteDistribution._trusted(values, probs, True)
 
 
 def _merge_atoms(values: np.ndarray, probs: np.ndarray):
@@ -734,7 +754,8 @@ def build_tabular(kernel, costs, discount: float) -> MarkovModel:
     """
     mechanism = Tabular(kernel)
     n, m, _ = mechanism.kernel.shape
-    cost_table = np.asarray(costs, dtype=float)
+    # a copy: ``cost`` must keep answering as it did when the model checked it
+    cost_table = np.array(costs, dtype=float)
     if cost_table.shape != (n, m):
         raise ValueError(
             f"cost table shape {cost_table.shape} does not match "

@@ -234,7 +234,8 @@ def _node_value(
     ``records`` maps ``id`` of each record met so far to its outcome
     probabilities, made and checked at its first occurrence, or, where
     every child is a leaf, to its whole distribution: those outcome values
-    are stage costs, the same at every occurrence."""
+    are stage costs, the same at every occurrence.  Each distribution is
+    made by ``DiscreteDistribution._trusted`` on arrays checked here."""
     record = records.get(id(node))
     if record.__class__ is DiscreteDistribution:
         return costs[node.state_index][node.action_index] + beta * evaluate(risk, record)
@@ -252,11 +253,11 @@ def _node_value(
     if record is None:
         record = np.array([prob for prob, _ in node.children], dtype=float)
         _check_probs(record)
-        dist = DiscreteDistribution._prechecked(values, record)
+        dist = DiscreteDistribution._trusted(values, record)
         leaves = not any(child.children for _, blend in node.children for _, child in blend)
         records[id(node)] = dist if leaves else record
     else:
-        dist = DiscreteDistribution._prechecked(values, record)
+        dist = DiscreteDistribution._trusted(values, record)
     return costs[node.state_index][node.action_index] + beta * evaluate(risk, dist)
 
 

@@ -35,7 +35,6 @@ accumulator; each ``.dot`` result therefore has ``0.0`` added, which turns
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -65,55 +64,57 @@ _ZERO = np.zeros(())
 _ZERO.setflags(write=False)
 
 
+def _read_only_copy(array) -> np.ndarray:
+    """A read-only float64 copy of ``array``, which a type checks and keeps:
+    a later write to the caller's array cannot change what was checked."""
+    copy = np.array(array, dtype=float)
+    copy.setflags(write=False)
+    return copy
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported distribution given by value and probability arrays.
 
     Atoms need not be sorted or distinct; every probability must be strictly
-    positive and the probabilities must sum to one within ``PROB_TOL``.
-    A distribution made by ``riskdp.model.successor_distribution`` has
-    sorted, distinct atoms in read-only arrays and carries a private marker
-    saying so; ``avar_primal`` then reads it worst first by reversing it,
-    where any other distribution is sorted.
+    positive and the probabilities must sum to one within ``PROB_TOL``.  The
+    checks run on read-only copies of the arrays, which the distribution
+    keeps.  One made by ``riskdp.model.successor_distribution`` has sorted,
+    distinct atoms and carries a private marker saying so; ``avar_primal``
+    then reads it worst first by reversing it, where any other is sorted.
     """
 
     values: np.ndarray
     probs: np.ndarray
 
-    #: True (set by ``_from_ascending``, not a field) when the read-only
-    #: values are strictly ascending
+    #: True (set by ``_trusted``, not a field) when the values ascend strictly
     _ascending = False
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if values is not self.values:
-            object.__setattr__(self, "values", values)
-        if probs is not self.probs:
-            object.__setattr__(self, "probs", probs)
-        _check_atoms(values, probs)
+        values = _read_only_copy(self.values)
+        probs = _read_only_copy(self.probs)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probs", probs)
+        if values.ndim != 1 or probs.ndim != 1 or values.shape != probs.shape:
+            raise ValueError("values and probs must be 1-d arrays of equal length")
+        if len(values) == 0:
+            raise ValueError("distribution needs at least one atom")
+        _check_values(values)
+        _check_probs(probs)
 
     @classmethod
-    def _from_ascending(cls, values: np.ndarray, probs: np.ndarray, listed: list):
-        """Distribution over strictly ascending float ``values``, marked as
-        such, taking the two arrays over without the dataclass ``__init__``
-        and making them read-only, so the order the marker promises cannot
-        go stale.
+    def _trusted(cls, values: np.ndarray, probs: np.ndarray, ascending: bool = False):
+        """Distribution over new 1-d float64 ``values`` and ``probs`` of one
+        nonempty length, checked by the caller, taken over without the
+        dataclass ``__init__`` and made read-only, so the order the
+        ``ascending`` marker promises cannot go stale.
 
-        Only the values are checked here, and only at the two ends of
-        ``listed``, the values (or the sorted values they were merged from)
-        as a list: sorted floats have any ``-inf`` first and any ``+inf`` or
-        NaN last.  The caller, ``riskdp.model.successor_distribution``, takes
-        the probabilities from read-only copies checked once, when the model
-        was built: a ``Tabular`` kernel's rows, or the noise probabilities.
-        Each call's ``probs`` are the positive entries of a checked row or
-        the checked noise probabilities, permuted, or sums of subsets of them
-        added in atom order: every one stays strictly positive, and their
-        total differs from the checked total only by the rounding of a
-        reordered sum, a few ulps, far inside ``PROB_TOL``.
+        ``riskdp.model.successor_distribution`` checks its values at the two
+        ends of their sorted list.  Its probabilities are positive kernel
+        entries or noise probabilities, permuted or with subsets summed in
+        atom order, whose total moves from the checked one by a few ulps,
+        far inside ``PROB_TOL``.  ``riskdp.oracle._node_value`` checks both.
         """
-        if not (math.isfinite(listed[0]) and math.isfinite(listed[-1])):
-            raise ValueError("atom values must be finite")
         # ``setflags`` takes ``write`` positionally, which numpy parses in
         # well under half the time of the keyword
         values.setflags(False)
@@ -122,29 +123,7 @@ class DiscreteDistribution:
         fields = dist.__dict__
         fields["values"] = values
         fields["probs"] = probs
-        fields["_ascending"] = True
-        return dist
-
-    @classmethod
-    def _prechecked(cls, values: np.ndarray, probs: np.ndarray):
-        """Distribution over float ``values`` and ``probs`` whose checks the
-        caller ran, taking the two arrays over without the dataclass
-        ``__init__`` and making them read-only.
-
-        The caller, ``riskdp.oracle._node_value``, makes both as 1-d float
-        arrays with one atom per outcome of a scenario-tree record, so they
-        have one nonempty length.  It checks the probabilities with
-        ``_check_probs`` once per record, at the record's first occurrence
-        in a valuation, and the values with ``_check_values`` each time it
-        makes them: at every occurrence, except at a record whose outcomes
-        all reach leaves, whose distribution it makes once and reuses.
-        """
-        values.setflags(False)
-        probs.setflags(False)
-        dist = object.__new__(cls)
-        fields = dist.__dict__
-        fields["values"] = values
-        fields["probs"] = probs
+        fields["_ascending"] = ascending
         return dist
 
     @property
@@ -157,17 +136,6 @@ class DiscreteDistribution:
 
     def mean(self) -> float:
         return float(self.values.dot(self.probs)) + 0.0
-
-
-def _check_atoms(values: np.ndarray, probs: np.ndarray):
-    """The checks every ``DiscreteDistribution`` passes, on its float
-    arrays: their shapes, then ``_check_values`` and ``_check_probs``."""
-    if values.ndim != 1 or probs.ndim != 1 or values.shape != probs.shape:
-        raise ValueError("values and probs must be 1-d arrays of equal length")
-    if len(values) == 0:
-        raise ValueError("distribution needs at least one atom")
-    _check_values(values)
-    _check_probs(probs)
 
 
 def _check_values(values: np.ndarray):
@@ -193,13 +161,14 @@ class DualDensity:
 
     ``weights[i]`` multiplies the probability of atom ``i``; a valid density
     has unit ``mass`` and is bounded by the cap of the risk functional that
-    produced it.
+    produced it.  The density keeps a read-only copy of the weights it
+    checks.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        weights = _read_only_copy(self.weights)
         object.__setattr__(self, "weights", weights)
         if weights.ndim != 1:
             raise ValueError("weights must be a 1-d array")

@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import MarkovModel, successor_distribution
+from .model import MarkovModel, _index, successor_distribution
 from .risk import RiskSpec, evaluate
 
 __all__ = [
@@ -45,22 +45,32 @@ class MonotonicityError(RuntimeError):
     under which iteration from zero is monotone."""
 
 
+def _index_rule(rule, where: str) -> np.ndarray:
+    """``rule`` as an array of action indices, each entry checked by
+    ``model._index`` unless ``rule`` is already an integer array."""
+    if isinstance(rule, np.ndarray) and rule.dtype.kind in "iu":
+        return np.asarray(rule, dtype=int)
+    entries = rule.tolist() if isinstance(rule, np.ndarray) else rule
+    return np.array([_index(i, where) for i in entries], dtype=int)
+
+
 @dataclass(frozen=True)
 class Policy:
     """Sequence of decision rules, one per stage, with an optional
     stationary tail rule used for every stage past the last listed one.
 
-    Each rule maps a state index to an action index.
+    Each rule maps a state index to an action index: an integer of any
+    integer type, or an integral float, never a boolean or a fraction.
     """
 
     stages: Tuple[np.ndarray, ...]
     tail: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        stages = tuple(np.asarray(rule, dtype=int) for rule in self.stages)
+        stages = tuple(_index_rule(rule, f"stage {s}") for s, rule in enumerate(self.stages))
         object.__setattr__(self, "stages", stages)
         if self.tail is not None:
-            object.__setattr__(self, "tail", np.asarray(self.tail, dtype=int))
+            object.__setattr__(self, "tail", _index_rule(self.tail, "the tail rule"))
         lengths = {len(rule) for rule in stages}
         if self.tail is not None:
             lengths.add(len(self.tail))

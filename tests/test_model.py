@@ -1,5 +1,6 @@
 """Tests for grids, noise quantization, interpolation, and model builders."""
 
+import re
 import sys
 import warnings
 
@@ -25,7 +26,7 @@ from riskdp.model import (
     quantize_standard_normal,
     successor_distribution,
 )
-from riskdp.risk import PROB_TOL, DiscreteDistribution
+from riskdp.risk import PROB_TOL, DiscreteDistribution, DualDensity, avar_primal
 
 # ---------------------------------------------------------------------------
 # grids and action sets
@@ -81,6 +82,31 @@ def test_action_set_admissibility():
         ActionSet(np.array([0.0]), admissible=((3,),))
     with pytest.raises(ValueError):
         ActionSet(np.array([]))
+
+
+@pytest.mark.parametrize(
+    "admissible, message",
+    [
+        (((0, 1.5), (True,)), "state 0 lists action index 1.5"),
+        (((0, 1), (True,)), "state 1 lists action index True"),
+        (((np.True_,),), "state 0 lists action index np.True_"),
+        (((-0.5,),), "state 0 lists action index -0.5"),
+        (((0, float("nan")),), "state 0 lists action index nan"),
+        (((0, "1"),), "state 0 lists action index '1'"),
+    ],
+    ids=["fraction", "bool", "numpy-bool", "negative-fraction", "nan", "string"],
+)
+def test_admissible_action_indices_must_be_integers(admissible, message):
+    """``int`` would truncate a fraction and read a boolean as 0 or 1, so
+    ``-0.5`` used to be reported as a repeated index and ``(True,)`` to
+    allow action 1; each is now rejected, naming the state."""
+    with pytest.raises(ValueError, match=re.escape(message) + ", which is not an integer"):
+        ActionSet(np.array([0.0, 1.0]), admissible=admissible)
+
+
+def test_integral_action_indices_of_any_type_read_as_ints():
+    mask = ((np.int8(1), 0.0), (np.uint64(1),), (1.0, np.float32(0.0)))
+    assert ActionSet(np.array([0.0, 1.0]), admissible=mask).admissible == ((0, 1), (1,), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +529,11 @@ def test_tabular_keeps_a_read_only_copy_of_the_kernel():
     assert successor_distribution(model, 0, 0, np.array([1.0, 2.0])).probs.tolist() == [0.5, 0.5]
 
 
-def test_a_model_checks_its_copy_of_the_noise_probabilities():
-    """The probabilities every successor is made of are checked where the
-    model copies them: a change to the noise arrays after the distribution
-    was checked is rejected when the model is built, and one after the
-    model was built does not reach it."""
+def test_a_late_write_to_the_noise_arrays_reaches_neither_distribution_nor_model():
+    """The probabilities every dynamics successor is made of are the noise
+    distribution's read-only copies, checked once: a write to the caller's
+    arrays, before or after the model is built, reaches neither.  The noise
+    must be a ``DiscreteDistribution``, so the model's are always checked."""
     probs = np.array([0.5, 0.5])
     noise = NoiseModel(DiscreteDistribution(np.array([-1.0, 1.0]), probs))
     grid, actions = StateGrid(np.linspace(-2.0, 2.0, 5)), ActionSet(np.zeros(1))
@@ -517,12 +543,87 @@ def test_a_model_checks_its_copy_of_the_noise_probabilities():
         return MarkovModel(grid, actions, dynamics, lambda x, a: x * x, 0.5)
 
     probs[0] = 5.0
-    with pytest.raises(ValueError, match="atom probabilities sum to 5.5, not 1"):
-        build()
-    probs[0] = 0.5
+    assert noise.dist.probs.tolist() == [0.5, 0.5]
     model = build()
-    probs[0] = 5.0
+    probs[1] = -4.0
     assert successor_distribution(model, 2, 0, np.zeros(5)).probs.tolist() == [1.0]
+    assert successor_distribution(model, 2, 0, grid.points).probs.tolist() == [0.5, 0.5]
+    with pytest.raises(TypeError, match="noise must be a DiscreteDistribution, got tuple"):
+        NoiseModel((np.array([-1.0, 1.0]), probs))
+
+
+def _grid_case(write):
+    caller = np.linspace(-1.0, 1.0, 5)
+    grid = StateGrid(caller)
+    if write:
+        caller[0] = 7.0
+    return [grid.points], grid.points.tolist()
+
+
+def _actions_case(write):
+    """A 5 x 3 LQ-style model's cost table and the successor structure it
+    builds at the first read are made from the same actions."""
+    caller = np.array([-1.0, 0.0, 1.0])
+    model = MarkovModel(
+        StateGrid(np.linspace(-2.0, 2.0, 5)),
+        ActionSet(caller),
+        Dynamics(lambda x, a, xi: x + a + 0.5 * xi, quantize_standard_normal(3)),
+        lambda x, a: x * x + a * a,
+        0.5,
+    )
+    if write:
+        caller[:] = [-50.0, 0.0, 50.0]
+    v = model.grid.points ** 2
+    dists = [successor_distribution(model, i, a, v).atoms for i in range(5) for a in range(3)]
+    return [model.actions.values], (model.cost_table.tolist(), dists)
+
+
+def _kernel_case(write):
+    caller = np.full((2, 2, 2), 0.5)
+    mechanism = Tabular(caller)
+    if write:
+        caller[0, 0] = [5.0, -4.0]
+    return [mechanism.kernel], mechanism.kernel.tolist()
+
+
+def _distribution_case(write):
+    values, probs = np.array([0.0, 10.0]), np.array([0.5, 0.5])
+    dist = DiscreteDistribution(values, probs)
+    if write:
+        probs[1] = -0.5
+        values[0] = np.nan
+    return [dist.values, dist.probs], (avar_primal(0.5, dist), dist.mean())
+
+
+def _density_case(write):
+    caller = np.array([0.5, 1.5])
+    density = DualDensity(caller)
+    if write:
+        caller[0] = -3.0
+    return [density.weights], density.weights.tolist()
+
+
+def _cost_table_case(write):
+    costs = np.array([[1.0, 2.0], [3.0, 4.0]])
+    model = build_tabular(np.full((2, 2, 2), 0.5), costs, 0.5)
+    if write:
+        costs[0, 0] = -1.0
+    return [model.cost_table], (model.cost_table.tolist(), model.cost(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_grid_case, _actions_case, _kernel_case, _distribution_case, _density_case, _cost_table_case],
+    ids=["StateGrid", "ActionSet", "Tabular", "DiscreteDistribution", "DualDensity", "cost_table"],
+)
+def test_each_checked_array_is_a_read_only_copy(case):
+    """Each type that checks an array keeps a read-only copy of it, so a
+    write to the caller's array after construction changes nothing that
+    the type holds or computes, however late it is first read."""
+    held, read = case(write=True)
+    assert not any(array.flags.writeable for array in held)
+    assert read == case(write=False)[1]
+
 
 
 def test_build_tabular_rejects_negative_cost():

@@ -253,6 +253,31 @@ def test_policy_stage_lookup():
         Policy(stages=())
 
 
+@pytest.mark.parametrize(
+    "stages, tail, message",
+    [
+        ((np.array([0.7, 1.9]),), None, "stage 0 lists action index 0.7"),
+        ((), [True, False], "the tail rule lists action index True"),
+        ((), np.array([True, False]), "the tail rule lists action index True"),
+        (([0, 1], [1, -0.5]), None, "stage 1 lists action index -0.5"),
+        (([0, 1],), np.array([0.0, np.inf]), "the tail rule lists action index inf"),
+    ],
+    ids=["fraction", "bool-list", "bool-array", "later-stage", "infinite"],
+)
+def test_policy_action_indices_must_be_integers(stages, tail, message):
+    """``np.asarray(rule, dtype=int)`` used to truncate a fraction and read
+    a boolean as 0 or 1, so these made rules such as ``[0, 1]`` and
+    ``[1, 0]``; each is now rejected, naming the stage or the tail rule."""
+    with pytest.raises(ValueError, match=message + ", which is not an integer"):
+        Policy(stages=stages, tail=tail)
+
+
+def test_integral_policy_indices_of_any_type_read_as_ints():
+    policy = Policy(stages=([np.int8(1), 0.0], np.array([1, 0], dtype=np.uint8)), tail=np.ones(2))
+    for rule, expected in zip((*policy.stages, policy.tail), ([1, 0], [1, 0], [1, 1])):
+        assert rule.dtype == np.dtype(int) and rule.tolist() == expected
+
+
 # ---------------------------------------------------------------------------
 # policy evaluation
 

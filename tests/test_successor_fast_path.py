@@ -221,8 +221,9 @@ def reference_avar(alpha, dist):
 
 
 def assert_sorted_read_as_unsorted(model, v_next):
-    """Every pair's successor distribution is read-only, and each risk
-    value of it equals, bit for bit, the same value of an unmarked copy,
+    """Every pair's successor distribution is read-only and marked
+    ascending, and each risk value of it equals, bit for bit, the same
+    value of an unmarked copy,
     which ``avar_primal`` sorts itself, and the tail average of the
     straightforward form."""
     for i in range(model.n_states):
@@ -230,8 +231,8 @@ def assert_sorted_read_as_unsorted(model, v_next):
             dist = successor_distribution(model, i, a_idx, v_next)
             assert not dist.values.flags.writeable
             assert not dist.probs.flags.writeable
-            plain = DiscreteDistribution(dist.values.copy(), dist.probs.copy())
-            assert not plain._ascending
+            plain = DiscreteDistribution(dist.values, dist.probs)
+            assert dist._ascending and not plain._ascending
             for alpha in LEVELS:
                 value = avar_primal(alpha, dist)
                 assert value == avar_primal(alpha, plain) == reference_avar(alpha, plain)
@@ -719,7 +720,7 @@ def finiteness_cases():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_non_finite_read_is_caught_at_either_end_of_the_sorted_values():
     """A pair's sorted values hold any -inf first and any +inf or NaN last,
-    and ``_from_ascending`` reads only those two ends.  Every pair that
+    and ``successor_distribution`` checks only those two ends.  Every pair that
     reads a non-finite value is rejected with the value message; each kind
     of pair is seen with -inf first and +inf and NaN last while its other
     end is finite, and with the bad value at an interior grid point."""
