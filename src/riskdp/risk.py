@@ -104,9 +104,9 @@ class DiscreteDistribution:
 
     @classmethod
     def _trusted(cls, values: np.ndarray, probs: np.ndarray, ascending: bool = False):
-        """Distribution over new 1-d float64 ``values`` and ``probs`` of one
-        nonempty length, checked by the caller, taken over without the
-        dataclass ``__init__`` and made read-only, so the order the
+        """Distribution over 1-d float64 ``values`` and ``probs`` of one
+        nonempty length that the caller made and checked, taken over without
+        the dataclass ``__init__`` and made read-only, so the order the
         ``ascending`` marker promises cannot go stale.
 
         ``riskdp.model.successor_distribution`` checks its values at the two

@@ -625,7 +625,6 @@ def test_each_checked_array_is_a_read_only_copy(case):
     assert read == case(write=False)[1]
 
 
-
 def test_build_tabular_rejects_negative_cost():
     kernel = np.full((2, 2, 2), 0.5)
     with pytest.raises(ValueError, match="nonnegative"):

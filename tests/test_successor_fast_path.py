@@ -223,9 +223,8 @@ def reference_avar(alpha, dist):
 def assert_sorted_read_as_unsorted(model, v_next):
     """Every pair's successor distribution is read-only and marked
     ascending, and each risk value of it equals, bit for bit, the same
-    value of an unmarked copy,
-    which ``avar_primal`` sorts itself, and the tail average of the
-    straightforward form."""
+    value of an unmarked copy, which ``avar_primal`` sorts itself, and the
+    tail average of the straightforward form."""
     for i in range(model.n_states):
         for a_idx in model.actions.indices_for(i):
             dist = successor_distribution(model, i, a_idx, v_next)
@@ -720,10 +719,11 @@ def finiteness_cases():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_non_finite_read_is_caught_at_either_end_of_the_sorted_values():
     """A pair's sorted values hold any -inf first and any +inf or NaN last,
-    and ``successor_distribution`` checks only those two ends.  Every pair that
-    reads a non-finite value is rejected with the value message; each kind
-    of pair is seen with -inf first and +inf and NaN last while its other
-    end is finite, and with the bad value at an interior grid point."""
+    and ``successor_distribution`` checks only those two ends.  Every pair
+    that reads a non-finite value is rejected with the value message; each
+    kind of pair is seen with -inf first and +inf and NaN last while its
+    other end is finite, and with the bad value at an interior grid
+    point."""
     seen = set()
     for kind, interior, args, read in finiteness_cases():
         if np.isfinite(read).all():
