@@ -125,6 +125,8 @@ def _index(value, where: str) -> int:
     an integer of any integer type, or a float with an integral value.  A
     boolean, which ``int`` reads as 0 or 1, and a fraction, which ``int``
     truncates, are rejected."""
+    if type(value) is int:  # the common case, before the slower abstract-type checks
+        return value
     if not isinstance(value, bool):
         if isinstance(value, numbers.Integral):
             return int(value)

@@ -46,12 +46,13 @@ class MonotonicityError(RuntimeError):
 
 
 def _index_rule(rule, where: str) -> np.ndarray:
-    """``rule`` as an array of action indices, each entry checked by
-    ``model._index`` unless ``rule`` is already an integer array."""
-    if isinstance(rule, np.ndarray) and rule.dtype.kind in "iu":
-        return np.asarray(rule, dtype=int)
+    """``rule`` as a read-only array of action indices, each entry checked
+    by ``model._index``: a later write to the caller's rule cannot change
+    the policy."""
     entries = rule.tolist() if isinstance(rule, np.ndarray) else rule
-    return np.array([_index(i, where) for i in entries], dtype=int)
+    checked = np.array([_index(i, where) for i in entries], dtype=int)
+    checked.setflags(write=False)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,7 @@ class Policy:
 
     Each rule maps a state index to an action index: an integer of any
     integer type, or an integral float, never a boolean or a fraction.
+    The policy keeps a read-only copy of each checked rule.
     """
 
     stages: Tuple[np.ndarray, ...]

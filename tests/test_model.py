@@ -552,14 +552,6 @@ def test_a_late_write_to_the_noise_arrays_reaches_neither_distribution_nor_model
         NoiseModel((np.array([-1.0, 1.0]), probs))
 
 
-def _grid_case(write):
-    caller = np.linspace(-1.0, 1.0, 5)
-    grid = StateGrid(caller)
-    if write:
-        caller[0] = 7.0
-    return [grid.points], grid.points.tolist()
-
-
 def _actions_case(write):
     """A 5 x 3 LQ-style model's cost table and the successor structure it
     builds at the first read are made from the same actions."""
@@ -576,14 +568,6 @@ def _actions_case(write):
     v = model.grid.points ** 2
     dists = [successor_distribution(model, i, a, v).atoms for i in range(5) for a in range(3)]
     return [model.actions.values], (model.cost_table.tolist(), dists)
-
-
-def _kernel_case(write):
-    caller = np.full((2, 2, 2), 0.5)
-    mechanism = Tabular(caller)
-    if write:
-        caller[0, 0] = [5.0, -4.0]
-    return [mechanism.kernel], mechanism.kernel.tolist()
 
 
 def _distribution_case(write):
@@ -613,13 +597,14 @@ def _cost_table_case(write):
 
 @pytest.mark.parametrize(
     "case",
-    [_grid_case, _actions_case, _kernel_case, _distribution_case, _density_case, _cost_table_case],
-    ids=["StateGrid", "ActionSet", "Tabular", "DiscreteDistribution", "DualDensity", "cost_table"],
+    [_actions_case, _distribution_case, _density_case, _cost_table_case],
+    ids=["ActionSet", "DiscreteDistribution", "DualDensity", "cost_table"],
 )
 def test_each_checked_array_is_a_read_only_copy(case):
     """Each type that checks an array keeps a read-only copy of it, so a
     write to the caller's array after construction changes nothing that
-    the type holds or computes, however late it is first read."""
+    the type holds or computes, however late it is first read.  The grid's
+    and the tabular kernel's copies have their own tests above."""
     held, read = case(write=True)
     assert not any(array.flags.writeable for array in held)
     assert read == case(write=False)[1]

@@ -278,6 +278,17 @@ def test_integral_policy_indices_of_any_type_read_as_ints():
         assert rule.dtype == np.dtype(int) and rule.tolist() == expected
 
 
+def test_policy_keeps_a_read_only_copy_of_each_rule():
+    """An integer rule array used to be kept as it was, so a write after
+    construction changed the policy; each rule is now a checked read-only
+    copy."""
+    stage, tail = np.array([0, 1]), np.array([1, 1])
+    policy = Policy(stages=(stage,), tail=tail)
+    stage[0], tail[1] = 5, 0
+    assert policy.rule(0).tolist() == [0, 1] and policy.rule(1).tolist() == [1, 1]
+    assert not any(rule.flags.writeable for rule in (*policy.stages, policy.tail))
+
+
 # ---------------------------------------------------------------------------
 # policy evaluation
 
